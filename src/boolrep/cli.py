@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Optional
 
@@ -32,8 +31,11 @@ def _max_ground() -> int:
 def _read_input(path: Optional[str]) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {path}: {e}") from None
 
 
 def _load_hc(path: Optional[str]) -> hereditary.HereditaryCollection:
@@ -235,12 +237,8 @@ def cmd_geo(args) -> int:
 
 def cmd_mpeg(args) -> int:
     if args.to_lattice:
-        data = json.loads(_read_input(args.input))
-        ground = tuple(str(x) for x in data["ground"])
-        strata = tuple(
-            frozenset(frozenset(str(x) for x in p) for p in stratum)
-            for stratum in data["strata"])
-        vg = geometry.lattice_of_mpeg(geometry.MPeg(ground, strata))
+        g = geometry.mpeg_from_json(_read_input(args.input))
+        vg = geometry.lattice_of_mpeg(g)
         sys.stdout.write(lattice.lattice_to_text(vg))
         return 0
     obj = lattice.lattice_from_text(_read_input(args.input))
@@ -289,10 +287,6 @@ def cmd_maps_factorize(args) -> int:
 def _check(checks: list, name: str, expected, actual) -> None:
     checks.append({"name": name, "expected": expected, "actual": actual,
                    "ok": expected == actual})
-
-
-def _family_strs(hc, members) -> list[str]:
-    return ["{" + ",".join(m) + "}" for m in _subsets_sorted(hc, members)]
 
 
 def _reproduce_bigex(args, checks: list) -> None:
@@ -345,11 +339,9 @@ def _reproduce_u36(args, checks: list) -> None:
         [walk.record(f) for f in walk.sji_families()]))
     _check(checks, "mindeg", 6, reps.mindeg(hc)[0])
     # graph criterion agreement over the full subfamily enumeration
-    pair_masks = {}
     agree = True
     for fam in reps.enumerate_fisfl(hc, max_nontrivial=args.max_flats,
-                                    max_subsets=args.max_subsets,
-                                    jobs=args.jobs):
+                                    max_subsets=args.max_subsets):
         masks = frozenset(hc.mask_of(m) for m in fam.members)
         singles = sum(1 for e in hc.ground if frozenset((e,)) in fam.members)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)
@@ -480,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(hard refusal past the cap)")
     p.add_argument("--max-subsets", type=int, default=1 << 22,
                    help="cap on enumerated subfamilies (hard refusal)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for subfamily enumeration")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps (current verbs are "
-                        "deterministic; reserved)")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **kw):
@@ -547,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except BoolrepError as e:

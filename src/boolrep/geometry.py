@@ -17,12 +17,13 @@ from typing import Iterable
 from .errors import (
     BadMpeg,
     FormatError,
+    NotALattice,
     NotAtomic,
     TooFewLines,
     WrongHeight,
     WrongSize,
 )
-from .hereditary import HereditaryCollection
+from .hereditary import HereditaryCollection, _json_label_sets, _json_labels
 from .lattice import FiniteLattice, VGenLattice, flat_label
 
 
@@ -129,7 +130,8 @@ def geo_of_lattice(vg: VGenLattice) -> PEG:
             lines.add(t)
     # two interior elements cannot share a >= 2 trace at height 3; check anyway
     big = [t for t in traces if len(t) >= 2]
-    assert len(big) == len(set(big)), "duplicate line traces in a height-3 lattice"
+    if len(big) != len(set(big)):
+        raise NotALattice("duplicate line traces in a height-3 lattice")
     g = PEG(vg.gens, frozenset(lines))
     return g
 
@@ -299,9 +301,26 @@ def peg_from_json(text: str) -> PEG:
         raise FormatError(f"bad JSON: {e}") from None
     if not isinstance(data, dict) or "points" not in data or "lines" not in data:
         raise FormatError("expected an object with 'points' and 'lines'")
-    points = tuple(str(p) for p in data["points"])
-    lines = frozenset(frozenset(str(x) for x in l) for l in data["lines"])
+    points = tuple(_json_labels(data["points"], "'points'"))
+    lines = frozenset(frozenset(l) for l in _json_label_sets(data["lines"], "'lines'"))
     return PEG(points, lines)
+
+
+def mpeg_from_json(text: str) -> MPeg:
+    """{"ground": [...], "strata": [[[...], ...], ...]}, strata listed bottom up."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"bad JSON: {e}") from None
+    if not isinstance(data, dict) or "ground" not in data or "strata" not in data:
+        raise FormatError("expected an object with 'ground' and 'strata'")
+    if not isinstance(data["strata"], list):
+        raise FormatError("'strata' must be an array")
+    ground = tuple(_json_labels(data["ground"], "'ground'"))
+    strata = tuple(
+        frozenset(frozenset(p) for p in _json_label_sets(stratum, "each stratum"))
+        for stratum in data["strata"])
+    return MPeg(ground, strata)
 
 
 def peg_dot(g: PEG, name: str = "geometry") -> str:

@@ -15,9 +15,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
+    BoolrepError,
     EmptyFamily,
     FormatError,
     GroundMismatch,
@@ -25,7 +26,7 @@ from .errors import (
     NotSimple,
     RankTooSmall,
 )
-from .lattice import FlatFamily, VGenLattice, flat_label, lattice_of_family
+from .lattice import FlatFamily, VGenLattice, family_matrix, lattice_of_family
 from .sbcore import BoolMatrix
 
 
@@ -33,6 +34,28 @@ def _all_subsets(items: Sequence) -> Iterable[frozenset]:
     for r in range(len(items) + 1):
         for c in itertools.combinations(items, r):
             yield frozenset(c)
+
+
+def closure_op(members: Sequence[int], full: int) -> Callable[[int], int]:
+    """Closure in an intersection-closed family of masks, memoized.
+
+    The returned operator maps a mask s to the meet of the members that
+    contain s, or to `full` when none does.
+    """
+    members = tuple(members)
+    cache: dict[int, int] = {}
+
+    def cl(s: int) -> int:
+        v = cache.get(s)
+        if v is None:
+            v = full
+            for z in members:
+                if z & s == s:
+                    v &= z
+            cache[s] = v
+        return v
+
+    return cl
 
 
 @dataclass(frozen=True)
@@ -96,7 +119,7 @@ class HereditaryCollection:
 
     @cached_property
     def _h_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.h_masks, key=lambda m: (bin(m).count("1"), m)))
+        return tuple(sorted(self.h_masks, key=lambda m: (m.bit_count(), m)))
 
     @property
     def full_mask(self) -> int:
@@ -171,14 +194,13 @@ class HereditaryCollection:
             self.ground, frozenset(self.set_of(m) for m in self._flat_masks)
         )
 
+    @cached_property
+    def _closure(self) -> Callable[[int], int]:
+        return closure_op(self._flat_masks, self.full_mask)
+
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest flat containing xs."""
-        m = self.mask_of(xs)
-        out = self.full_mask
-        for f in self._flat_masks:
-            if f & m == m:
-                out &= f
-        return self.set_of(out)
+        return self.set_of(self._closure(self.mask_of(xs)))
 
     def closure_by_circuits(self, xs: Iterable[str]) -> frozenset[str]:
         """Iterated circuit augmentation; agrees with closure on matroids."""
@@ -272,16 +294,18 @@ def rank_function(hc: HereditaryCollection, check_submodular: Optional[bool] = N
     """Max independent-subset size for every subset; axioms checked on build.
 
     Monotonicity, the realization axiom and heredity on full-rank sets are
-    asserted always; submodularity (a matroid property) is asserted when the
+    checked always; submodularity (a matroid property) is checked when the
     collection is a matroid and the ground is small enough for the quadratic
-    sweep (or when explicitly requested).
+    sweep (or when explicitly requested).  The first three follow from
+    downward closure and raise NotDownwardClosed when they fail; a failed
+    submodularity check raises BoolrepError.
     """
     n = len(hc.ground)
     hm = hc.h_masks
     r = [0] * (1 << n)
     for m in range(1, 1 << n):
         if m in hm:
-            r[m] = bin(m).count("1")
+            r[m] = m.bit_count()
         else:
             best = 0
             t = m
@@ -294,22 +318,25 @@ def rank_function(hc: HereditaryCollection, check_submodular: Optional[bool] = N
     for m in range(1 << n):
         for i in range(n):
             if not (m >> i) & 1:
-                assert r[m] <= r[m | (1 << i)], "rank monotonicity failed"
-        if r[m] == bin(m).count("1") and m:
+                if r[m] > r[m | (1 << i)]:
+                    raise NotDownwardClosed("rank monotonicity failed")
+        if r[m] == m.bit_count() and m:
             t = m
             while t:
                 low = t & (-t)
-                assert r[m ^ low] == bin(m ^ low).count("1"), "heredity failed"
+                if r[m ^ low] != (m ^ low).bit_count():
+                    raise NotDownwardClosed("heredity failed")
                 t ^= low
         # realization: some independent subset of m attains r[m]
-        assert any(s & m == s and bin(s).count("1") == r[m] for s in hm), \
-            "rank not realized by an independent subset"
+        if not any(s & m == s and s.bit_count() == r[m] for s in hm):
+            raise NotDownwardClosed("rank not realized by an independent subset")
     if check_submodular is None:
         check_submodular = hc.is_matroid() and n <= 8
     if check_submodular:
         for x in range(1 << n):
             for y in range(1 << n):
-                assert r[x] + r[y] >= r[x | y] + r[x & y], "submodularity failed"
+                if r[x] + r[y] < r[x | y] + r[x & y]:
+                    raise BoolrepError("submodularity failed")
     table = {hc.set_of(m): r[m] for m in range(1 << n)}
     return RankFunction(hc.ground, table)
 
@@ -369,22 +396,7 @@ def boolean_representability(hc: HereditaryCollection) -> RepresentabilityResult
     """Existence of orderings with strictly decreasing closures, per member."""
     if not hc.is_simple():
         raise NotSimple("representability is defined here for simple collections")
-    h_sorted = sorted(hc.h_masks, key=lambda m: (bin(m).count("1"), m))
-    flats = hc._flat_masks
-    full = hc.full_mask
-    cache: dict[int, int] = {}
-
-    def cl(s: int) -> int:
-        v = cache.get(s)
-        if v is None:
-            v = full
-            for f in flats:
-                if f & s == s:
-                    v &= f
-            cache[s] = v
-        return v
-
-    bad = _chain_admissible(h_sorted, cl)
+    bad = _chain_admissible(hc._h_sorted, hc._closure)
     if bad is None:
         return RepresentabilityResult(True, None)
     return RepresentabilityResult(False, hc.set_of(bad))
@@ -427,13 +439,7 @@ def flat_lattice(hc: HereditaryCollection) -> VGenLattice:
 
 def flat_matrix(hc: HereditaryCollection) -> BoolMatrix:
     """Matrix with one row per flat and one column per point; 0 iff point in flat."""
-    fam = hc.flats()
-    rows = []
-    row_labels = []
-    for fl in fam.sorted_members():
-        rows.append(tuple(0 if e in fl else 1 for e in hc.ground))
-        row_labels.append(flat_label(fl, hc.ground))
-    return BoolMatrix(tuple(rows), hc.ground, tuple(row_labels))
+    return family_matrix(hc.flats())
 
 
 # -- boolean operations, truncation, paving ------------------------------------------
@@ -491,8 +497,8 @@ def is_paving(hc: HereditaryCollection) -> bool:
         for c in itertools.chain.from_iterable(
             itertools.combinations(hc.ground, s) for s in range(r - 1))
     )
-    assert no_small_circuit == all_small_independent == small_sets_closed, \
-        "paving clause disagreement"
+    if not (no_small_circuit == all_small_independent == small_sets_closed):
+        raise NotDownwardClosed("paving clause disagreement")
     return no_small_circuit
 
 
@@ -523,6 +529,21 @@ def hc_to_json(hc: HereditaryCollection) -> str:
     return json.dumps({"ground": list(hc.ground), "facets": fac})
 
 
+def _json_labels(value, what: str) -> list[str]:
+    """A decoded JSON array of strings or integers, as label strings."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, (str, int)) and not isinstance(x, bool) for x in value):
+        raise FormatError(f"{what} must be an array of strings or integers")
+    return [str(x) for x in value]
+
+
+def _json_label_sets(value, what: str) -> list[list[str]]:
+    """A decoded JSON array of label arrays."""
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be an array of arrays")
+    return [_json_labels(v, f"each member of {what}") for v in value]
+
+
 def hc_from_json(text: str) -> HereditaryCollection:
     try:
         data = json.loads(text)
@@ -530,13 +551,13 @@ def hc_from_json(text: str) -> HereditaryCollection:
         raise FormatError(f"bad JSON: {e}") from None
     if not isinstance(data, dict) or "ground" not in data:
         raise FormatError("expected an object with a 'ground' key")
-    ground = [str(x) for x in data["ground"]]
+    ground = _json_labels(data["ground"], "'ground'")
     if "facets" in data:
         return HereditaryCollection.from_facets(
-            ground, [[str(x) for x in f] for f in data["facets"]])
+            ground, _json_label_sets(data["facets"], "'facets'"))
     if "independents" in data:
         return HereditaryCollection.from_independents(
-            ground, [[str(x) for x in f] for f in data["independents"]])
+            ground, _json_label_sets(data["independents"], "'independents'"))
     raise FormatError("expected a 'facets' or 'independents' key")
 
 

@@ -29,10 +29,6 @@ from .sbcore import BoolMatrix
 DEFAULT_LATTICE_CAP = 64
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _bits(x: int):
     while x:
         low = x & (-x)
@@ -214,12 +210,6 @@ class FiniteLattice:
             i = self._join[i][self._index[x]]
         return self.labels[i]
 
-    def meet_of(self, xs: Iterable[str]) -> str:
-        i = self.top_i
-        for x in xs:
-            i = self._meet[i][self._index[x]]
-        return self.labels[i]
-
     def lower_covers(self, x: str) -> frozenset[str]:
         i = self._index[x]
         return frozenset(self.labels[j] for j in range(len(self.labels))
@@ -241,7 +231,7 @@ class FiniteLattice:
     @cached_property
     def _heights(self) -> tuple[int, ...]:
         n = len(self.labels)
-        order = sorted(range(n), key=lambda i: _popcount(self.down[i]))
+        order = sorted(range(n), key=lambda i: self.down[i].bit_count())
         h = [0] * n
         for j in order:
             for i in range(n):
@@ -322,9 +312,6 @@ class VGenLattice:
         lat = self.lattice
         return frozenset(g for g in self.gens if lat.leq(g, x))
 
-    def flat_family(self) -> "FlatFamily":
-        return FlatFamily(self.gens, frozenset(self.z_of(x) for x in self.lattice.labels))
-
 
 @dataclass(frozen=True)
 class FlatFamily:
@@ -382,22 +369,28 @@ def flat_label(s: frozenset, ground: Sequence[str]) -> str:
     return "{" + ",".join(sorted(s, key=order.__getitem__)) + "}"
 
 
+def family_matrix(fam: FlatFamily) -> BoolMatrix:
+    """Rows: members in size order, labelled by flat_label; columns: points.
+
+    An entry is 0 exactly when the column's point lies in the row's member.
+    """
+    rows, row_labels = [], []
+    for m in fam.sorted_members():
+        rows.append(tuple(0 if e in m else 1 for e in fam.ground))
+        row_labels.append(flat_label(m, fam.ground))
+    return BoolMatrix(tuple(rows), fam.ground, tuple(row_labels))
+
+
 # -- matrix of a generated lattice ----------------------------------------------
 
 
-def matrix_of(vg: VGenLattice, restrict_to_gens: bool = True) -> BoolMatrix:
-    """The boolean matrix with rows L and columns E; 0 where column <= row.
-
-    With restrict_to_gens=False the columns run over all non-bottom elements,
-    the convention used when testing c-independence of arbitrary elements.
-    """
+def matrix_of(vg: VGenLattice) -> BoolMatrix:
+    """The boolean matrix with rows L and columns E; 0 where column <= row."""
     lat = vg.lattice
-    cols = vg.gens if restrict_to_gens else tuple(
-        x for x in lat.labels if x != lat.bottom)
     rows = tuple(
-        tuple(0 if lat.leq(c, x) else 1 for c in cols) for x in lat.labels
+        tuple(0 if lat.leq(c, x) else 1 for c in vg.gens) for x in lat.labels
     )
-    return BoolMatrix(rows, cols, lat.labels)
+    return BoolMatrix(rows, vg.gens, lat.labels)
 
 
 def full_matrix(lat: FiniteLattice) -> BoolMatrix:

@@ -30,7 +30,7 @@ from .errors import (
     TopInIdeal,
 )
 from .hereditary import HereditaryCollection, is_boolean_representable
-from .lattice import FiniteLattice, VGenLattice
+from .lattice import FiniteLattice, FlatFamily, VGenLattice
 
 # -- join-preserving maps -----------------------------------------------------------
 
@@ -241,17 +241,10 @@ def congruence_from_family(vg: VGenLattice, family: Iterable[frozenset[str]]
         if a & b not in fam:
             raise NotIntersectionClosed((sorted(a), sorted(b)))
 
-    def key(x: str) -> frozenset:
-        zx = vg.z_of(x)
-        out = full
-        for m in fam:
-            if zx <= m:
-                out &= m
-        return out
-
+    closure = FlatFamily.unchecked(vg.gens, frozenset(fam)).closure_of
     groups: dict[frozenset, set[str]] = {}
     for x in lat.labels:
-        groups.setdefault(key(x), set()).add(x)
+        groups.setdefault(closure(vg.z_of(x)), set()).add(x)
     blocks = tuple(sorted((frozenset(g) for g in groups.values()),
                           key=lambda b: sorted(b)))
     return VCongruence(lat, blocks)
@@ -393,7 +386,8 @@ def mps_factorize(phi: VMap) -> list[MpsStep]:
             if cur.mapping[a] == cur.mapping[b]:
                 pick = (a, b)
                 break
-        assert pick is not None, "non-injective join map without a collapsible pair"
+        if pick is None:
+            raise JoinViolation("non-injective join map without a collapsible pair")
         a, b = pick
         rho = VCongruence.from_pairs(lat, [(a, b)])
         q, proj = quotient_lattice(lat, rho, cur.source_gens)
@@ -432,7 +426,8 @@ def mpi_factorize(phi: VMap) -> list[MpiStep]:
             if not any(tgt.leq(y, x) and y != x for y in missing):
                 a = x
                 break
-        assert a is not None
+        if a is None:
+            raise JoinViolation("no minimal element outside the image")
         removed.append(a)
         cur_labels.discard(a)
         sub = _sublattice(tgt, cur_labels)

@@ -13,7 +13,6 @@ most one.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -29,11 +28,13 @@ from .errors import (
 from .hereditary import (
     HereditaryCollection,
     _chain_admissible,
+    closure_op,
     is_boolean_representable,
 )
 from .lattice import (
     FlatFamily,
     VGenLattice,
+    family_matrix,
     flat_label,
     lattice_of_family,
 )
@@ -41,10 +42,6 @@ from .sbcore import BoolMatrix, columns_independent
 
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 # -- family <-> mask plumbing ------------------------------------------------------
@@ -85,21 +82,7 @@ def check_full_subsemilattice(hc: HereditaryCollection, fam: FlatFamily) -> froz
 
 def _represents_masks(hc: HereditaryCollection, members: Sequence[int]) -> bool:
     """Chain test: every independent set has strictly decreasing closures in F."""
-    full = hc.full_mask
-    mlist = sorted(members)
-    cache: dict[int, int] = {}
-
-    def cl(s: int) -> int:
-        v = cache.get(s)
-        if v is None:
-            v = full
-            for z in mlist:
-                if z & s == s:
-                    v &= z
-            cache[s] = v
-        return v
-
-    return _chain_admissible(hc._h_sorted, cl) is None
+    return _chain_admissible(hc._h_sorted, closure_op(members, hc.full_mask)) is None
 
 
 def represents(hc: HereditaryCollection, fam: FlatFamily) -> bool:
@@ -164,11 +147,7 @@ class RepRecord:
     @cached_property
     def matrix(self) -> BoolMatrix:
         """Rows indexed by all family members (size order), columns by E."""
-        rows, row_labels = [], []
-        for fl in self.family.sorted_members():
-            rows.append(tuple(0 if e in fl else 1 for e in self.hc.ground))
-            row_labels.append(flat_label(fl, self.hc.ground))
-        return BoolMatrix(tuple(rows), self.hc.ground, tuple(row_labels))
+        return family_matrix(self.family)
 
     @cached_property
     def smi_rows(self) -> frozenset[frozenset[str]]:
@@ -219,9 +198,9 @@ class RepresentationLattice:
             raise TooLarge(
                 f"{len(nontrivial)} nontrivial flats exceed the cap "
                 f"{max_nontrivial}; raise max_nontrivial explicitly")
-        top = frozenset(flats)
-        if not _represents_masks(hc, flats):
+        if not is_boolean_representable(hc):
             raise NotRepresentable("the collection has no boolean representation")
+        top = frozenset(flats)
         full = hc.full_mask
         tested: dict[frozenset[int], bool] = {top: True}
         members: set[frozenset[int]] = {top}
@@ -241,7 +220,6 @@ class RepresentationLattice:
                         stack.append(child)
         self.top = top
         self.members: frozenset[frozenset[int]] = frozenset(members)
-        self._tested = tested
 
     def __len__(self) -> int:
         return len(self.members)
@@ -307,14 +285,12 @@ def sji_representations(hc: HereditaryCollection,
 # -- exhaustive subfamily enumeration ---------------------------------------------------
 
 
-def _fisfl_masks(nontrivial: Sequence[int], prefix: Optional[Sequence[bool]] = None
-                 ) -> Iterator[frozenset[int]]:
+def _fisfl_masks(nontrivial: Sequence[int]) -> Iterator[frozenset[int]]:
     """DFS over include/exclude with propagated intersection requirements.
 
     Elements are visited in decreasing size order; including an element can
     only require strictly smaller elements, which are still ahead, so the
     requirement set is always satisfiable and every leaf is a closed family.
-    `prefix` pins the first decisions (used to split work across processes).
     """
     n = len(nontrivial)
 
@@ -323,48 +299,28 @@ def _fisfl_masks(nontrivial: Sequence[int], prefix: Optional[Sequence[bool]] = N
             yield chosen
             return
         m = nontrivial[i]
-        forced = m in required
-        take_branches = (True,) if forced else (False, True)
-        if prefix is not None and i < len(prefix):
-            want = prefix[i]
-            if forced and not want:
-                return
-            take_branches = (want,)
-        for take in take_branches:
-            if not take:
-                yield from dfs(i + 1, chosen, required)
-                continue
-            req = set(required)
-            req.discard(m)
-            for c in chosen:
-                inter = m & c
-                if inter and inter != m and inter != c and inter not in chosen:
-                    req.add(inter)
-            yield from dfs(i + 1, chosen | {m}, frozenset(req))
+        if m not in required:
+            yield from dfs(i + 1, chosen, required)
+        req = set(required)
+        req.discard(m)
+        for c in chosen:
+            inter = m & c
+            if inter and inter != m and inter != c and inter not in chosen:
+                req.add(inter)
+        yield from dfs(i + 1, chosen | {m}, frozenset(req))
 
     yield from dfs(0, frozenset(), frozenset())
 
 
-def _fisfl_worker(args):
-    nontrivial, prefix, trivial = args
-    return [frozenset(f) | trivial for f in _fisfl_masks(nontrivial, prefix)]
-
-
 def enumerate_fisfl(hc: HereditaryCollection,
                     max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
-                    max_subsets: int = 1 << 22,
-                    jobs: int = 1,
-                    progress=None) -> Iterator[FlatFamily]:
-    """All full intersection-closed subfamilies of the flats, sorted canonically.
-
-    `progress`, when given, is called with the running family count every few
-    thousand families.
-    """
+                    max_subsets: int = 1 << 22) -> Iterator[FlatFamily]:
+    """All full intersection-closed subfamilies of the flats, sorted canonically."""
     if not hc.is_simple():
         raise NotSimple("subfamily enumeration needs a simple collection")
     flats = sorted(hc._flat_masks)
     nontrivial = sorted((m for m in flats if m not in (0, hc.full_mask)),
-                        key=lambda m: (-_popcount(m), m))
+                        key=lambda m: (-m.bit_count(), m))
     if len(nontrivial) > max_nontrivial:
         raise TooLarge(
             f"{len(nontrivial)} nontrivial flats exceed the cap {max_nontrivial}")
@@ -372,20 +328,8 @@ def enumerate_fisfl(hc: HereditaryCollection,
         raise TooLarge(
             f"2^{len(nontrivial)} candidate subsets exceed the cap {max_subsets}")
     trivial = frozenset((0, hc.full_mask))
-    if jobs <= 1 or len(nontrivial) < 4:
-        families = [frozenset(f) | trivial for f in _fisfl_masks(nontrivial)]
-    else:
-        depth = min(max(jobs.bit_length() + 1, 4), len(nontrivial))
-        tasks = [(nontrivial, prefix, trivial)
-                 for prefix in itertools.product((False, True), repeat=depth)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            chunks = pool.map(_fisfl_worker, tasks)
-        families = [f for chunk in chunks for f in chunk]
-    families.sort(key=_canon)
-    for i, f in enumerate(families, 1):
-        if progress is not None and i % 4096 == 0:
-            progress(i)
+    families = sorted((f | trivial for f in _fisfl_masks(nontrivial)), key=_canon)
+    for f in families:
         yield _family_from_masks(hc, f)
 
 
@@ -571,13 +515,13 @@ def mindeg(hc: HereditaryCollection,
         raise NotRepresentable("the collection has no boolean representation")
     full = hc.full_mask
     cands = sorted((m for m in hc._flat_masks if m != full),
-                   key=lambda m: (-_popcount(m), m))
-    constraints = [x for x in hc._h_sorted if _popcount(x) >= 2]
+                   key=lambda m: (-m.bit_count(), m))
+    constraints = [x for x in hc._h_sorted if x.bit_count() >= 2]
     viable = {}
     for x in constraints:
-        k = _popcount(x)
+        k = x.bit_count()
         viable[x] = frozenset(
-            i for i, z in enumerate(cands) if _popcount(z & x) == k - 1)
+            i for i, z in enumerate(cands) if (z & x).bit_count() == k - 1)
     constraints.sort(key=lambda x: len(viable[x]))
 
     def leaf_ok(row_masks: list[int]) -> bool:
@@ -647,6 +591,7 @@ def mindeg(hc: HereditaryCollection,
         if found:
             witnesses = [to_matrix(m) for m in sorted(set(found))]
             for w in witnesses:
-                assert matrix_represents(hc, w), "mindeg witness failed validation"
+                if not matrix_represents(hc, w):
+                    raise NotRepresentable("mindeg witness failed validation")
             return k, witnesses
     raise NotRepresentable("no representing row set found")  # unreachable

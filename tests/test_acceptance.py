@@ -159,7 +159,7 @@ def test_criterion_3_u36():
     # graph criterion: complement graph triangle-free and at most one point
     # of the ground set absent from the family
     agree = True
-    for f in enumerate_fisfl(hc, jobs=2):
+    for f in enumerate_fisfl(hc):
         singles = sum(1 for e in hc.ground if fs(e) in f.members)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)
                  if fs(str(i + 1), str(j + 1)) not in f.members]

@@ -167,6 +167,30 @@ class TestErrorsAndCodes:
     def test_usage_error_is_2(self):
         code, out, err = run_cli(["not-a-verb"])
         assert code == 2
+        code, out, err = run_cli(["--jobs", "2", "flats"])
+        assert code == 2
+
+    @pytest.mark.parametrize("args,stdin_text", [
+        pytest.param(["flats"], '{"ground": ["1", "2"], "facets": 5}',
+                     id="facets-number"),
+        pytest.param(["flats"], '{"ground": ["1", "2"], "facets": [5]}',
+                     id="facet-number"),
+        pytest.param(["flats"], '{"ground": "abc", "facets": [["a"]]}',
+                     id="ground-string"),
+        pytest.param(["flats", "{tmp}/missing.json"], "", id="missing-file"),
+        pytest.param(["mpeg", "--to-lattice"], "{not json", id="mpeg-bad-json"),
+        pytest.param(["mpeg", "--to-lattice"], '{"ground": ["1", "2"]}',
+                     id="mpeg-no-strata"),
+        pytest.param(["geo", "--to-lattice"], '{"points": 5, "lines": []}',
+                     id="geo-points-number"),
+    ])
+    def test_malformed_input_is_1(self, capsys, monkeypatch, tmp_path,
+                                  args, stdin_text):
+        args = [a.format(tmp=tmp_path) for a in args]
+        code, out = run_main(capsys, args, stdin_text=stdin_text,
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert "error" in json.loads(out)
 
     def test_domain_error_is_1(self, capsys, monkeypatch):
         bad = json.dumps({"ground": ["1", "2"], "facets": [["1", "9"]]})

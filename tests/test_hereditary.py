@@ -162,6 +162,15 @@ class TestClosure:
         for pair in (("1", "3"), ("1", "5"), ("3", "5")):
             assert u.closure(pair) == frozenset(u.ground)
 
+    def test_agrees_with_flat_family_closure(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            hc = random_hc(rng, 5)
+            fam = hc.flats()
+            for r in range(6):
+                for c in itertools.combinations(hc.ground, r):
+                    assert hc.closure(c) == fam.closure_of(c)
+
     def test_circuit_iteration_agrees_on_matroids(self):
         rng = random.Random(52)
         found = 0

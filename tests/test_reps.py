@@ -1,10 +1,14 @@
 """Representation lattice: membership, enumeration, minimal/sji, mindeg."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 
-from boolrep.errors import NotRepresentable, NotSubsemilattice, TooLarge
+import boolrep
+from boolrep import reps
+from boolrep.errors import BoolrepError, NotRepresentable, NotSubsemilattice, TooLarge
 from boolrep.hereditary import (
     HereditaryCollection,
     example_bigex,
@@ -125,11 +129,6 @@ class TestEnumerateFisfl:
     def test_cap(self):
         with pytest.raises(TooLarge):
             list(enumerate_fisfl(uniform(3, 6), max_nontrivial=10))
-
-    def test_jobs_match_serial(self):
-        serial = [frozenset(f.members) for f in enumerate_fisfl(BIGEX, jobs=1)]
-        par = [frozenset(f.members) for f in enumerate_fisfl(BIGEX, jobs=2)]
-        assert serial == par
 
 
 class TestWalk:
@@ -403,6 +402,23 @@ class TestMindeg:
     def test_not_representable_raises(self):
         with pytest.raises(NotRepresentable):
             mindeg(union_hc(*example_unio()))
+
+
+class TestNoAssertValidation:
+    """Checks raise typed errors, so `python -O` cannot strip them."""
+
+    def test_mindeg_witness_check_raises(self, monkeypatch):
+        monkeypatch.setattr(reps, "matrix_represents", lambda hc, m: False)
+        with pytest.raises(BoolrepError):
+            mindeg(BIGEX)
+
+    def test_no_assert_statements_in_src(self):
+        src = pathlib.Path(boolrep.__file__).parent
+        found = [(path.name, node.lineno)
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestRowmin:
