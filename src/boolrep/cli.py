@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import geometry, hereditary, lattice, maps, reps, sbcore
-from .errors import BoolrepError, FormatError, TooLarge
+from .errors import BoolrepError, FormatError
 
 DEFAULT_MAX_GROUND = 12
 
@@ -39,12 +39,8 @@ def _read_input(path: Optional[str]) -> str:
 
 
 def _load_hc(path: Optional[str]) -> hereditary.HereditaryCollection:
-    hc = hereditary.hc_from_json(_read_input(path))
-    cap = _max_ground()
-    if len(hc.ground) > cap:
-        raise TooLarge(
-            f"|E| = {len(hc.ground)} exceeds BOOLREP_MAX_GROUND = {cap}")
-    return hc
+    """The input collection; BOOLREP_MAX_GROUND is enforced before it is built."""
+    return hereditary.hc_from_json(_read_input(path), max_ground=_max_ground())
 
 
 def _subsets_sorted(hc, sets) -> list[list[str]]:
@@ -62,8 +58,11 @@ def _emit(args, payload: dict, table_lines=None) -> None:
 
 def _maybe_dot(args, dot_text: Optional[str]) -> None:
     if getattr(args, "dot", None) and dot_text is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_text)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot_text)
+        except OSError as e:
+            raise FormatError(f"cannot write {args.dot}: {e}") from None
 
 
 # -- verbs ------------------------------------------------------------------------
@@ -98,11 +97,11 @@ def cmd_flats(args) -> int:
     fam = hc.flats()
     flats = _subsets_sorted(hc, fam.members)
     payload = {"ground": list(hc.ground), "count": len(flats), "flats": flats}
-    _emit(args, payload, ["flats (%d):" % len(flats)] +
-          ["  {" + ",".join(f) + "}" for f in flats])
     if getattr(args, "dot", None):
         vg = hereditary.flat_lattice(hc)
         _maybe_dot(args, lattice.hasse_dot(vg))
+    _emit(args, payload, ["flats (%d):" % len(flats)] +
+          ["  {" + ",".join(f) + "}" for f in flats])
     return 0
 
 
@@ -156,15 +155,16 @@ def _rep_report(args, which: str) -> int:
     minimal = walk.minimal_families()
     sji = walk.sji_families()
     chosen = minimal if which == "minimal" else sji
-    minset, sjiset = set(minimal), set(sji)
-    recs = [walk.record(f) for f in chosen]
+    minset = set(minimal)
+    recs = {f: walk.record(f) for f in sji}  # every minimal family is sji
     families = []
-    for f, rec in zip(chosen, recs):
+    for f in chosen:
+        rec = recs[f]
         families.append({
             "family": _subsets_sorted(hc, rec.family.members),
             "in_im_theta": True,
             "minimal": f in minset,
-            "sji": f in sjiset,
+            "sji": True,
             "matrix": rec.matrix.to_text().rstrip("\n").split("\n"),
         })
     md, _ = reps.mindeg(hc)
@@ -173,10 +173,9 @@ def _rep_report(args, which: str) -> int:
         "counts": {
             "minimal_raw": len(minimal),
             "minimal_orbits": reps.count_up_to_e_bijection(
-                [walk.record(f) for f in minimal]),
+                [recs[f] for f in minimal]),
             "sji_raw": len(sji),
-            "sji_orbits": reps.count_up_to_e_bijection(
-                [walk.record(f) for f in sji]),
+            "sji_orbits": reps.count_up_to_e_bijection(list(recs.values())),
             "mindeg": md,
         },
     }
@@ -230,8 +229,8 @@ def cmd_geo(args) -> int:
     if not isinstance(obj, lattice.VGenLattice):
         raise FormatError("geometry extraction needs a gens: line")
     g = geometry.geo_of_lattice(obj)
-    print(geometry.peg_to_json(g))
     _maybe_dot(args, geometry.peg_dot(g))
+    print(geometry.peg_to_json(g))
     return 0
 
 

@@ -25,6 +25,7 @@ from .errors import (
     NotDownwardClosed,
     NotSimple,
     RankTooSmall,
+    TooLarge,
 )
 from .lattice import FlatFamily, VGenLattice, family_matrix, lattice_of_family
 from .sbcore import BoolMatrix
@@ -140,6 +141,10 @@ class HereditaryCollection:
         return max(len(s) for s in self.independents)
 
     def is_simple(self) -> bool:
+        return self._simple
+
+    @cached_property
+    def _simple(self) -> bool:
         e = list(self.ground)
         return all(frozenset(c) in self.independents
                    for r in (1, 2) for c in itertools.combinations(e, r))
@@ -189,6 +194,10 @@ class HereditaryCollection:
                 out.append(x)
         return tuple(out)
 
+    @cached_property
+    def _flat_set(self) -> frozenset[int]:
+        return frozenset(self._flat_masks)
+
     def flats(self) -> FlatFamily:
         return FlatFamily(
             self.ground, frozenset(self.set_of(m) for m in self._flat_masks)
@@ -197,6 +206,11 @@ class HereditaryCollection:
     @cached_property
     def _closure(self) -> Callable[[int], int]:
         return closure_op(self._flat_masks, self.full_mask)
+
+    @cached_property
+    def _chain_failure(self) -> Optional[int]:
+        """An independent set without strictly decreasing flat closures, or None."""
+        return _chain_admissible(self._h_sorted, self._closure)
 
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest flat containing xs."""
@@ -396,7 +410,7 @@ def boolean_representability(hc: HereditaryCollection) -> RepresentabilityResult
     """Existence of orderings with strictly decreasing closures, per member."""
     if not hc.is_simple():
         raise NotSimple("representability is defined here for simple collections")
-    bad = _chain_admissible(hc._h_sorted, hc._closure)
+    bad = hc._chain_failure
     if bad is None:
         return RepresentabilityResult(True, None)
     return RepresentabilityResult(False, hc.set_of(bad))
@@ -544,7 +558,9 @@ def _json_label_sets(value, what: str) -> list[list[str]]:
     return [_json_labels(v, f"each member of {what}") for v in value]
 
 
-def hc_from_json(text: str) -> HereditaryCollection:
+def hc_from_json(text: str, max_ground: Optional[int] = None) -> HereditaryCollection:
+    """Parse a collection; with max_ground, refuse a larger ground before
+    any facet is expanded into its subsets."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -552,6 +568,8 @@ def hc_from_json(text: str) -> HereditaryCollection:
     if not isinstance(data, dict) or "ground" not in data:
         raise FormatError("expected an object with a 'ground' key")
     ground = _json_labels(data["ground"], "'ground'")
+    if max_ground is not None and len(ground) > max_ground:
+        raise TooLarge(f"|E| = {len(ground)} exceeds the cap {max_ground}")
     if "facets" in data:
         return HereditaryCollection.from_facets(
             ground, _json_label_sets(data["facets"], "'facets'"))

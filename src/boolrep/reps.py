@@ -65,7 +65,7 @@ def _canon(masks: Iterable[int]) -> tuple[int, ...]:
 def check_full_subsemilattice(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[int]:
     """Validate fam as a full intersection-closed subfamily of the flats."""
     masks = _family_masks(hc, fam)
-    flat_set = set(hc._flat_masks)
+    flat_set = hc._flat_set
     for m in masks:
         if m not in flat_set:
             raise NotSubsemilattice(f"{sorted(hc.set_of(m))} is not a flat")
@@ -184,7 +184,9 @@ class RepresentationLattice:
     Built by walking down from the full flat family, removing one smi member
     at a time and keeping the subfamilies that still represent; covering in
     the representation order is exactly such a removal, and the representing
-    families form an up-set, so the walk is exhaustive.
+    families form an up-set, so the walk is exhaustive.  Each member is
+    popped once and all its covering steps are tested then, so the walk also
+    records how many representing children (lower covers) each member has.
     """
 
     def __init__(self, hc: HereditaryCollection,
@@ -203,10 +205,11 @@ class RepresentationLattice:
         top = frozenset(flats)
         full = hc.full_mask
         tested: dict[frozenset[int], bool] = {top: True}
-        members: set[frozenset[int]] = {top}
+        nchildren: dict[frozenset[int], int] = {}
         stack = [top]
         while stack:
             fam = stack.pop()
+            count = 0
             for z in _smi_masks(sorted(fam), full):
                 if z == 0:
                     continue  # fullness: the empty set stays
@@ -216,10 +219,12 @@ class RepresentationLattice:
                     hit = _represents_masks(hc, sorted(child))
                     tested[child] = hit
                     if hit:
-                        members.add(child)
                         stack.append(child)
+                count += hit
+            nchildren[fam] = count
         self.top = top
-        self.members: frozenset[frozenset[int]] = frozenset(members)
+        self.nchildren = nchildren
+        self.members = nchildren.keys()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -229,23 +234,11 @@ class RepresentationLattice:
             return frozenset(_family_masks(self.hc, fam)) in self.members
         return frozenset(fam) in self.members
 
-    def _children(self, fam: frozenset[int]) -> list[frozenset[int]]:
-        out = []
-        for z in _smi_masks(sorted(fam), self.hc.full_mask):
-            if z == 0:
-                continue
-            child = fam - {z}
-            if child in self.members:
-                out.append(child)
-        return out
-
     def minimal_families(self) -> list[frozenset[int]]:
-        return sorted((f for f in self.members if not self._children(f)),
-                      key=_canon)
+        return sorted((f for f, k in self.nchildren.items() if k == 0), key=_canon)
 
     def sji_families(self) -> list[frozenset[int]]:
-        return sorted((f for f in self.members if len(self._children(f)) <= 1),
-                      key=_canon)
+        return sorted((f for f, k in self.nchildren.items() if k <= 1), key=_canon)
 
     def sorted_families(self) -> list[frozenset[int]]:
         return sorted(self.members, key=_canon)
@@ -433,30 +426,36 @@ def automorphisms(hc: HereditaryCollection) -> list[dict[str, str]]:
 
 
 def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
-    """Orbits of the records' families under the collection's automorphisms."""
+    """Orbits of the records' families under the collection's automorphisms.
+
+    Orbit expansion: the first record of each orbit adds its whole orbit to
+    `seen`, so later records of that orbit are one lookup each.  This is
+    exact for any record list, invariant under the group or not, and costs
+    |orbits| x |G| family images instead of |records| x |G|.
+    """
     if not records:
         return 0
     hc = records[0].hc
-    perms = []
-    for a in automorphisms(hc):
-        perms.append(tuple(hc._gidx[a[g]] for g in hc.ground))
-    n = len(hc.ground)
-
-    def apply(mask: int, perm) -> int:
-        t = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                t |= 1 << perm[i]
-        return t
-
-    seen = set()
+    fams = [_family_masks(hc, rec.family) for rec in records]
+    point_bits = [[1 << hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
+    # the image of every member mask under every automorphism, built once
+    masks = frozenset().union(*fams)
+    tables = []
+    for bits in point_bits:
+        image = {}
+        for z in masks:
+            t = 0
+            for i, b in enumerate(bits):
+                if (z >> i) & 1:
+                    t |= b
+            image[z] = t
+        tables.append(image)
+    seen: set[frozenset[int]] = set()
     count = 0
-    for rec in records:
-        masks = [hc.mask_of(m) for m in rec.family.members]
-        key = min(tuple(sorted(apply(z, p) for z in masks)) for p in perms)
-        if key not in seen:
-            seen.add(key)
+    for fam in fams:
+        if fam not in seen:
             count += 1
+            seen.update(frozenset(map(image.__getitem__, fam)) for image in tables)
     return count
 
 

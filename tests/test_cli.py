@@ -7,13 +7,19 @@ import sys
 
 import pytest
 
+import boolrep
 from boolrep.cli import main
+
+# the child process imports boolrep from where this process found it
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(boolrep.__file__)))
 
 
 def run_cli(args, stdin_text=""):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "boolrep.cli", *args],
-        input=stdin_text, capture_output=True, text=True)
+        input=stdin_text, capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -211,6 +217,22 @@ class TestErrorsAndCodes:
         finally:
             del os.environ["BOOLREP_MAX_GROUND"]
 
+    def test_ground_cap_before_build(self, capsys, monkeypatch):
+        # 16 points with one full facet would expand 2^16 subsets first
+        from boolrep.hereditary import HereditaryCollection
+
+        def never(*args, **kwargs):
+            raise AssertionError("the collection was built past the cap")
+
+        monkeypatch.delenv("BOOLREP_MAX_GROUND", raising=False)
+        monkeypatch.setattr(HereditaryCollection, "from_facets", never)
+        ground = [str(i) for i in range(1, 17)]
+        hc = json.dumps({"ground": ground, "facets": [ground]})
+        code, out = run_main(capsys, ["flats"], stdin_text=hc,
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == "TooLarge"
+
     def test_max_flats_refusal(self, capsys, monkeypatch):
         _, hc_json = run_main(capsys, ["generate", "uniform", "--a", "3",
                                        "--b", "6"])
@@ -226,6 +248,14 @@ class TestErrorsAndCodes:
                            stdin_text=hc_json, monkeypatch=monkeypatch)
         assert code == 0
         assert dot.read_text().startswith("digraph")
+
+    def test_dot_unwritable_is_1(self, tmp_path, capsys, monkeypatch):
+        _, hc_json = run_main(capsys, ["generate", "bigex"])
+        dot = tmp_path / "missing-dir" / "x.dot"
+        code, out = run_main(capsys, ["--dot", str(dot), "flats"],
+                             stdin_text=hc_json, monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == "FormatError"
 
 
 class TestReproduce:

@@ -3,12 +3,19 @@
 import ast
 import itertools
 import pathlib
+import random
 
 import pytest
 
 import boolrep
 from boolrep import reps
-from boolrep.errors import BoolrepError, NotRepresentable, NotSubsemilattice, TooLarge
+from boolrep.errors import (
+    BoolrepError,
+    NotRepresentable,
+    NotSimple,
+    NotSubsemilattice,
+    TooLarge,
+)
 from boolrep.hereditary import (
     HereditaryCollection,
     example_bigex,
@@ -85,8 +92,15 @@ class TestRepresents:
 
     def test_not_representable_rejected(self):
         u = union_hc(*example_unio())
-        with pytest.raises(NotRepresentable):
-            represents(u, u.flats())
+        for _ in range(2):  # the second call reads the cached result
+            with pytest.raises(NotRepresentable):
+                represents(u, u.flats())
+
+    def test_not_simple_rejected(self):
+        hc = uniform(1, 3)
+        for _ in range(2):
+            with pytest.raises(NotSimple):
+                represents(hc, hc.flats())
 
     def test_membership_matches_matrix_test(self):
         # family membership agrees with the literal witness test on its matrix
@@ -372,6 +386,87 @@ class TestAutomorphisms:
         walk = RepresentationLattice(BIGEX)
         top = walk.record(frozenset(walk.top))
         assert count_up_to_e_bijection([top]) == 1
+
+
+def _canonical_orbits(records):
+    """Orbit count by canonical keys: a family's key is the least sorted
+    tuple of its permuted masks over all automorphisms.  Returns the key of
+    each record, so a sublist's count is the number of distinct keys."""
+    hc = records[0].hc
+    perms = [[hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
+
+    def apply(mask, perm):
+        return sum(1 << perm[i] for i in range(len(perm)) if (mask >> i) & 1)
+
+    masks = {hc.mask_of(m) for rec in records for m in rec.family.members}
+    tables = [{z: apply(z, perm) for z in masks} for perm in perms]
+    keys = {}
+    for rec in records:
+        if rec.family not in keys:
+            fam = [hc.mask_of(m) for m in rec.family.members]
+            keys[rec.family] = min(tuple(sorted(t[z] for z in fam)) for t in tables)
+    return [keys[rec.family] for rec in records]
+
+
+@pytest.fixture(scope="module")
+def u36_walk():
+    return RepresentationLattice(uniform(3, 6))
+
+
+class TestOrbitOracle:
+    """Orbit expansion agrees with the canonical-key count."""
+
+    @pytest.mark.parametrize("hc", [BIGEX, fano()], ids=["bigex", "fano"])
+    def test_small_records(self, hc):
+        walk = RepresentationLattice(hc)
+        for fams in (walk.minimal_families(), walk.sji_families(),
+                     walk.sorted_families()):
+            recs = [walk.record(f) for f in fams]
+            assert count_up_to_e_bijection(recs) == len(set(_canonical_orbits(recs)))
+
+    def test_u36_records(self, u36_walk):
+        recs_min = [u36_walk.record(f) for f in u36_walk.minimal_families()]
+        recs_sji = [u36_walk.record(f) for f in u36_walk.sji_families()]
+        assert count_up_to_e_bijection(recs_min) == \
+            len(set(_canonical_orbits(recs_min))) == 4
+        assert count_up_to_e_bijection(recs_sji) == \
+            len(set(_canonical_orbits(recs_sji))) == 7
+
+    def test_u36_random_sublists(self, u36_walk):
+        # sublists are not closed under the automorphisms and repeat records
+        recs = [u36_walk.record(f) for f in u36_walk.sji_families()]
+        key = dict(zip((r.family for r in recs), _canonical_orbits(recs)))
+        rng = random.Random(20121029)
+        for _ in range(20):
+            sub = [rng.choice(recs) for _ in range(rng.randint(1, 80))]
+            assert count_up_to_e_bijection(sub) == len({key[r.family] for r in sub})
+
+    def test_empty(self):
+        assert count_up_to_e_bijection([]) == 0
+
+
+class TestClassificationOracle:
+    """Minimal and sji families read off the inclusion order of all
+    representing subfamilies, found by filtering the exhaustive enumeration
+    through the membership test; no smi children are involved."""
+
+    @pytest.mark.parametrize("hc", [BIGEX, fano(), uniform(3, 5)],
+                             ids=["bigex", "fano", "u35"])
+    def test_matches_walk(self, hc):
+        rep = [frozenset(hc.mask_of(m) for m in f.members)
+               for f in enumerate_fisfl(hc) if represents(hc, f)]
+        minimal, sji = set(), set()
+        for f in rep:
+            below = [g for g in rep if g < f]
+            covers = [g for g in below if not any(g < h for h in below)]
+            if not below:
+                minimal.add(f)
+            if len(covers) <= 1:
+                sji.add(f)
+        walk = RepresentationLattice(hc)
+        assert set(walk.members) == set(rep)
+        assert walk.minimal_families() == sorted(minimal, key=sorted)
+        assert walk.sji_families() == sorted(sji, key=sorted)
 
 
 class TestMindeg:
