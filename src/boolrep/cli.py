@@ -341,8 +341,8 @@ def _reproduce_u36(args, checks: list) -> None:
     agree = True
     for fam in reps.enumerate_fisfl(hc, max_nontrivial=args.max_flats,
                                     max_subsets=args.max_subsets):
-        masks = frozenset(hc.mask_of(m) for m in fam.members)
-        singles = sum(1 for e in hc.ground if frozenset((e,)) in fam.members)
+        masks = fam.masks
+        singles = sum(1 for i in range(6) if (1 << i) in masks)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)
                  if ((1 << i) | (1 << j)) not in masks]
         adj = [0] * 6

@@ -27,7 +27,8 @@ from .errors import (
     RankTooSmall,
     TooLarge,
 )
-from .lattice import FlatFamily, VGenLattice, family_matrix, lattice_of_family
+from .lattice import FlatFamily, VGenLattice, family_matrix, labels_to_mask, \
+    lattice_of_family, mask_to_labels
 from .sbcore import BoolMatrix
 
 
@@ -57,6 +58,15 @@ def closure_op(members: Sequence[int], full: int) -> Callable[[int], int]:
         return v
 
     return cl
+
+
+def permuted(mask: int, perm: Sequence[int]) -> int:
+    """The image of mask when point i goes to point perm[i]."""
+    t = 0
+    for i, j in enumerate(perm):
+        if (mask >> i) & 1:
+            t |= 1 << j
+    return t
 
 
 @dataclass(frozen=True)
@@ -105,14 +115,10 @@ class HereditaryCollection:
         return {g: i for i, g in enumerate(self.ground)}
 
     def mask_of(self, s: Iterable[str]) -> int:
-        m = 0
-        for x in s:
-            m |= 1 << self._gidx[x]
-        return m
+        return labels_to_mask(s, self._gidx)
 
     def set_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ground[i] for i in range(len(self.ground))
-                         if (mask >> i) & 1)
+        return mask_to_labels(mask, self.ground)
 
     @cached_property
     def h_masks(self) -> frozenset[int]:
@@ -195,13 +201,11 @@ class HereditaryCollection:
         return tuple(out)
 
     @cached_property
-    def _flat_set(self) -> frozenset[int]:
-        return frozenset(self._flat_masks)
+    def _flats(self) -> FlatFamily:
+        return FlatFamily.from_masks(self.ground, frozenset(self._flat_masks))
 
     def flats(self) -> FlatFamily:
-        return FlatFamily(
-            self.ground, frozenset(self.set_of(m) for m in self._flat_masks)
-        )
+        return self._flats
 
     @cached_property
     def _closure(self) -> Callable[[int], int]:
@@ -253,6 +257,14 @@ class HereditaryCollection:
             if minimal:
                 out.append(x)
         return tuple(out)
+
+    @cached_property
+    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Index permutations p (point i to point p[i]) preserving H; the
+        |E|! sweep runs once per collection, and callers check any cap."""
+        hm = self.h_masks
+        return tuple(p for p in itertools.permutations(range(len(self.ground)))
+                     if all(permuted(s, p) in hm for s in hm))
 
     # -- predicates -----------------------------------------------------------------
 
@@ -488,8 +500,7 @@ def rank3_union_representable_hypothesis(a: HereditaryCollection,
     for hc in (a, b):
         if hc.rank != 3 or not hc.is_simple() or not is_boolean_representable(hc):
             return False
-        full = frozenset(hc.ground)
-        if any(len(f) > 3 for f in hc.flats().members if f != full):
+        if any(m.bit_count() > 3 for m in hc._flat_masks if m != hc.full_mask):
             return False
     return True
 
@@ -505,9 +516,9 @@ def is_paving(hc: HereditaryCollection) -> bool:
         for c in itertools.chain.from_iterable(
             itertools.combinations(hc.ground, s) for s in range(r))
     )
-    fl = hc.flats()
+    fl = hc.flats().masks
     small_sets_closed = all(
-        frozenset(c) in fl.members
+        hc.mask_of(c) in fl
         for c in itertools.chain.from_iterable(
             itertools.combinations(hc.ground, s) for s in range(r - 1))
     )

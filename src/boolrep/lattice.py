@@ -313,54 +313,103 @@ class VGenLattice:
         return frozenset(g for g in self.gens if lat.leq(g, x))
 
 
-@dataclass(frozen=True)
+def labels_to_mask(labels: Iterable[str], index: dict[str, int]) -> int:
+    """The mask with bit index[x] set for each label x."""
+    m = 0
+    for x in labels:
+        m |= 1 << index[x]
+    return m
+
+
+def mask_to_labels(mask: int, ground: Sequence[str]) -> frozenset[str]:
+    """The labels ground[i] of the set bits i of mask."""
+    return frozenset(ground[i] for i in _bits(mask))
+
+
+@dataclass(frozen=True, init=False)
 class FlatFamily:
-    """An intersection-closed family of subsets of a ground set, containing E."""
+    """An intersection-closed family of subsets of a ground set, containing E.
+
+    Members are stored as masks over `ground` (bit i is ground[i]); the label
+    sets in `members` are computed on first use.
+    """
 
     ground: tuple[str, ...]
-    members: frozenset[frozenset[str]]
+    masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        g = frozenset(self.ground)
-        if g not in self.members:
+    def __init__(self, ground: Sequence[str], members: Iterable[Iterable[str]]) -> None:
+        members = frozenset(map(frozenset, members))
+        g = frozenset(ground)
+        if g not in members:
             raise NotIntersectionClosed("the full ground set must be a member")
-        for m in self.members:
+        for m in members:
             if not m <= g:
                 raise NotIntersectionClosed(f"member {sorted(m)} outside ground")
-        for a, b in itertools.combinations(self.members, 2):
-            if a & b not in self.members:
-                raise NotIntersectionClosed((sorted(a), sorted(b)))
+        object.__setattr__(self, "ground", tuple(ground))
+        object.__setattr__(self, "masks",
+                           frozenset(labels_to_mask(m, self._index) for m in members))
+        self.__dict__["members"] = members  # the label view, already at hand
+        self._check_meets()
 
     @classmethod
-    def unchecked(cls, ground: tuple[str, ...], members: frozenset) -> "FlatFamily":
+    def unchecked(cls, ground: tuple[str, ...], masks: frozenset[int]) -> "FlatFamily":
         """Skip validation; for internal paths that construct closed families."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ground", ground)
-        object.__setattr__(obj, "members", members)
+        object.__setattr__(obj, "masks", masks)
         return obj
+
+    @classmethod
+    def from_masks(cls, ground: tuple[str, ...], masks: frozenset[int]) -> "FlatFamily":
+        """The family of the given masks over ground, validated."""
+        if (1 << len(ground)) - 1 not in masks:
+            raise NotIntersectionClosed("the full ground set must be a member")
+        obj = cls.unchecked(ground, masks)
+        obj._check_meets()
+        return obj
+
+    def _check_meets(self) -> None:
+        for a, b in itertools.combinations(self.masks, 2):
+            if a & b not in self.masks:
+                raise NotIntersectionClosed((sorted(mask_to_labels(a, self.ground)),
+                                             sorted(mask_to_labels(b, self.ground))))
+
+    @cached_property
+    def members(self) -> frozenset[frozenset[str]]:
+        return frozenset(mask_to_labels(m, self.ground) for m in self.masks)
 
     @property
     def full(self) -> bool:
-        return frozenset() in self.members
+        return 0 in self.masks
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __contains__(self, s) -> bool:
         return frozenset(s) in self.members
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.ground)}
+
     def closure_of(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest member containing xs (E if nothing smaller does)."""
-        s = frozenset(xs)
-        out = frozenset(self.ground)
-        for m in self.members:
-            if s <= m:
+        try:
+            s = labels_to_mask(xs, self._index)
+        except KeyError:
+            return frozenset(self.ground)  # no member holds a label outside E
+        out = (1 << len(self.ground)) - 1
+        for m in self.masks:
+            if s & m == s:
                 out &= m
-        return out
+        return mask_to_labels(out, self.ground)
+
+    def sorted_masks(self) -> list[int]:
+        """Members by size, then by their points' ground positions."""
+        return sorted(self.masks, key=lambda m: (m.bit_count(), list(_bits(m))))
 
     def sorted_members(self) -> list[frozenset[str]]:
-        order = {g: i for i, g in enumerate(self.ground)}
-        return sorted(self.members, key=lambda m: (len(m), sorted(order[x] for x in m)))
+        return [mask_to_labels(m, self.ground) for m in self.sorted_masks()]
 
 
 def flat_label(s: frozenset, ground: Sequence[str]) -> str:
@@ -369,15 +418,21 @@ def flat_label(s: frozenset, ground: Sequence[str]) -> str:
     return "{" + ",".join(sorted(s, key=order.__getitem__)) + "}"
 
 
+def mask_label(mask: int, ground: Sequence[str]) -> str:
+    """flat_label of the set whose points are the set bits of mask."""
+    return "{" + ",".join(ground[i] for i in _bits(mask)) + "}"
+
+
 def family_matrix(fam: FlatFamily) -> BoolMatrix:
     """Rows: members in size order, labelled by flat_label; columns: points.
 
     An entry is 0 exactly when the column's point lies in the row's member.
     """
+    n = len(fam.ground)
     rows, row_labels = [], []
-    for m in fam.sorted_members():
-        rows.append(tuple(0 if e in m else 1 for e in fam.ground))
-        row_labels.append(flat_label(m, fam.ground))
+    for m in fam.sorted_masks():
+        rows.append(tuple(1 - ((m >> i) & 1) for i in range(n)))
+        row_labels.append(mask_label(m, fam.ground))
     return BoolMatrix(tuple(rows), fam.ground, tuple(row_labels))
 
 
@@ -410,30 +465,24 @@ def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]
     it always contains j.  Zero columns are rejected (the empty set would
     escape the construction).
     """
-    for j, c in enumerate(m.col_labels):
-        if all(r[j] == 0 for r in m.rows):
-            raise ZeroColumn(c)
     ground = m.col_labels
-    zsets = {m.zero_set(i) for i in range(m.n_rows)}
-    members = set(zsets)
-    members.add(frozenset(ground))
-    work = list(members)
-    while work:
-        a = work.pop()
-        for b in list(members):
-            c = a & b
-            if c not in members:
-                members.add(c)
-                work.append(c)
+    full = (1 << len(ground)) - 1
+    ones = m.ones_masks
+    for j, c in enumerate(ground):
+        if not any((r >> j) & 1 for r in ones):
+            raise ZeroColumn(c)
+    zsets = [full & ~r for r in ones]
+    members = {full}  # the meets of every subset of zsets
+    for z in zsets:
+        members |= {z & w for w in members}
     y = {}
-    for j, c in enumerate(m.col_labels):
-        inter = frozenset(ground)
-        for i in range(m.n_rows):
-            if m.rows[i][j] == 0:
-                inter &= m.zero_set(i)
-        y[c] = inter
-    fam = FlatFamily(ground, frozenset(members))
-    return fam, y
+    for j, c in enumerate(ground):
+        inter = full
+        for z in zsets:
+            if (z >> j) & 1:
+                inter &= z
+        y[c] = mask_to_labels(inter, ground)
+    return FlatFamily.from_masks(ground, frozenset(members)), y
 
 
 def lattice_of_family(fam: FlatFamily, max_size: int = DEFAULT_LATTICE_CAP):

@@ -29,7 +29,7 @@ from .errors import (
     NotSurjective,
     TopInIdeal,
 )
-from .hereditary import HereditaryCollection, is_boolean_representable
+from .hereditary import HereditaryCollection, _all_subsets, is_boolean_representable
 from .lattice import FiniteLattice, FlatFamily, VGenLattice
 
 # -- join-preserving maps -----------------------------------------------------------
@@ -161,12 +161,15 @@ class VCongruence:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-        groups: dict[str, set[str]] = {}
-        for x in lattice.labels:
-            groups.setdefault(find(x), set()).add(x)
-        blocks = tuple(sorted((frozenset(g) for g in groups.values()),
-                              key=lambda b: sorted(b)))
-        return cls(lattice, blocks)
+        return cls(lattice, _blocks_by(lattice.labels, find))
+
+
+def _blocks_by(labels: Iterable[str], key) -> tuple[frozenset[str], ...]:
+    """The classes of labels with equal keys, ordered by sorted contents."""
+    groups: dict = {}
+    for x in labels:
+        groups.setdefault(key(x), set()).add(x)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
 
 
 @dataclass(frozen=True)
@@ -206,12 +209,7 @@ def closure_from_congruence(rho: VCongruence) -> ClosureOp:
 
 def congruence_from_closure(xi: ClosureOp) -> VCongruence:
     """Kernel of the closure operator."""
-    groups: dict[str, set[str]] = {}
-    for x in xi.lattice.labels:
-        groups.setdefault(xi(x), set()).add(x)
-    blocks = tuple(sorted((frozenset(g) for g in groups.values()),
-                          key=lambda b: sorted(b)))
-    return VCongruence(xi.lattice, blocks)
+    return VCongruence(xi.lattice, _blocks_by(xi.lattice.labels, xi))
 
 
 def family_from_congruence(vg: VGenLattice, rho: VCongruence) -> frozenset[frozenset[str]]:
@@ -225,29 +223,13 @@ def family_from_congruence(vg: VGenLattice, rho: VCongruence) -> frozenset[froze
 def congruence_from_family(vg: VGenLattice, family: Iterable[frozenset[str]]
                            ) -> VCongruence:
     """Elements are identified when the same family members lie above them."""
-    fam = [frozenset(m) for m in family]
+    fam = FlatFamily(vg.gens, family)  # closed under meets, holds the gens
     lat = vg.lattice
-    full = frozenset(vg.gens)
-    for m in fam:
-        if not m <= full:
-            raise NotIntersectionClosed(f"member {sorted(m)} outside the generators")
-    if full not in fam:
-        raise NotIntersectionClosed("the family must contain the full flat")
     zs = {vg.z_of(x) for x in lat.labels}
-    for m in fam:
+    for m in fam.members:
         if m not in zs:
             raise NotIntersectionClosed(f"member {sorted(m)} is not a flat")
-    for a, b in itertools.combinations(fam, 2):
-        if a & b not in fam:
-            raise NotIntersectionClosed((sorted(a), sorted(b)))
-
-    closure = FlatFamily.unchecked(vg.gens, frozenset(fam)).closure_of
-    groups: dict[frozenset, set[str]] = {}
-    for x in lat.labels:
-        groups.setdefault(closure(vg.z_of(x)), set()).add(x)
-    blocks = tuple(sorted((frozenset(g) for g in groups.values()),
-                          key=lambda b: sorted(b)))
-    return VCongruence(lat, blocks)
+    return VCongruence(lat, _blocks_by(lat.labels, lambda x: fam.closure_of(vg.z_of(x))))
 
 
 # -- quotients ---------------------------------------------------------------------------
@@ -535,18 +517,12 @@ def hc_weak_map(phi: Mapping[str, str], a: HereditaryCollection,
     for e in a.ground:
         if phi[e] not in b._gidx:
             raise FormatError(f"image {phi[e]!r} outside the target ground")
-    for x in _all_subsets_of(a.ground):
+    for x in _all_subsets(a.ground):
         img = frozenset(phi[e] for e in x)
         if len(img) == len(x) and img in b.independents:
             if x not in a.independents:
                 return False
     return True
-
-
-def _all_subsets_of(items: Sequence[str]):
-    for r in range(len(items) + 1):
-        for c in itertools.combinations(items, r):
-            yield frozenset(c)
 
 
 # -- text format -----------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .hereditary import (
     _chain_admissible,
     closure_op,
     is_boolean_representable,
+    permuted,
 )
 from .lattice import (
     FlatFamily,
@@ -37,25 +38,20 @@ from .lattice import (
     family_matrix,
     flat_label,
     lattice_of_family,
+    mask_label,
 )
 from .sbcore import BoolMatrix, columns_independent
 
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
+ROWSUM_MAX_ROWS = 4096
 
 
-# -- family <-> mask plumbing ------------------------------------------------------
-
-
-def _family_masks(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[int]:
+def _masks_over(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[int]:
+    """fam's member masks, which index hc's points only if the grounds agree."""
     if tuple(fam.ground) != tuple(hc.ground):
         raise GroundMismatch(fam.ground, hc.ground)
-    return frozenset(hc.mask_of(m) for m in fam.members)
-
-
-def _family_from_masks(hc: HereditaryCollection, masks: Iterable[int]) -> FlatFamily:
-    return FlatFamily.unchecked(
-        hc.ground, frozenset(hc.set_of(m) for m in masks))
+    return fam.masks
 
 
 def _canon(masks: Iterable[int]) -> tuple[int, ...]:
@@ -63,17 +59,15 @@ def _canon(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def check_full_subsemilattice(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[int]:
-    """Validate fam as a full intersection-closed subfamily of the flats."""
-    masks = _family_masks(hc, fam)
-    flat_set = hc._flat_set
+    """Validate fam as a full subfamily of the flats; a FlatFamily is already
+    intersection closed and holds E."""
+    masks = _masks_over(hc, fam)
+    flat_set = hc.flats().masks
     for m in masks:
         if m not in flat_set:
             raise NotSubsemilattice(f"{sorted(hc.set_of(m))} is not a flat")
-    if 0 not in masks or hc.full_mask not in masks:
+    if 0 not in masks:
         raise NotSubsemilattice("a full subfamily contains the empty set and E")
-    for a, b in itertools.combinations(masks, 2):
-        if a & b not in masks:
-            raise NotSubsemilattice((sorted(hc.set_of(a)), sorted(hc.set_of(b))))
     return masks
 
 
@@ -91,35 +85,34 @@ def represents(hc: HereditaryCollection, fam: FlatFamily) -> bool:
         raise NotSimple("representation theory needs a simple collection")
     if not is_boolean_representable(hc):
         raise NotRepresentable("the collection has no boolean representation")
-    masks = check_full_subsemilattice(hc, fam)
-    return _represents_masks(hc, sorted(masks))
+    return _represents_masks(hc, check_full_subsemilattice(hc, fam))
 
 
 # -- smi members of a family ---------------------------------------------------------
 
 
 def _smi_masks(members: Sequence[int], full: int) -> list[int]:
-    """Members (except E) covered by at most one other member under inclusion."""
+    """Members (except E) covered by at most one other member under inclusion.
+
+    Two covers of z meet in z, so these are the members that differ from the
+    meet of their strict supersets.
+    """
     out = []
-    ms = list(members)
-    for z in ms:
+    for z in members:
         if z == full:
             continue
-        sups = [w for w in ms if w != z and (w & z) == z]
-        ncov = 0
-        for w in sups:
-            if not any(v != w and (w & v) == v for v in sups):
-                ncov += 1
-                if ncov > 1:
-                    break
-        if ncov <= 1:
+        meet = full
+        for w in members:
+            if w & z == z and w != z:
+                meet &= w
+        if meet != z:
             out.append(z)
     return out
 
 
 def smi_members(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[frozenset[str]]:
     """Smi members of the family, top excluded (the reduced-matrix row set)."""
-    masks = _family_masks(hc, fam)
+    masks = _masks_over(hc, fam)
     return frozenset(hc.set_of(m) for m in _smi_masks(sorted(masks), hc.full_mask))
 
 
@@ -156,8 +149,8 @@ class RepRecord:
     @cached_property
     def reduced_matrix(self) -> BoolMatrix:
         """Only the rows that are not boolean sums of others (zero row dropped)."""
-        keep = self.smi_rows
-        idx = [i for i, fl in enumerate(self.family.sorted_members()) if fl in keep]
+        keep = set(_smi_masks(self.family.masks, self.hc.full_mask))
+        idx = [i for i, m in enumerate(self.family.sorted_masks()) if m in keep]
         return self.matrix.submatrix(idx, range(len(self.hc.ground)))
 
     @property
@@ -165,14 +158,14 @@ class RepRecord:
         return len(self.smi_rows)
 
     def canonical_key(self) -> tuple:
-        return _canon(self.hc.mask_of(m) for m in self.family.members)
+        return _canon(self.family.masks)
 
 
 def order_le(r1: RepRecord, r2: RepRecord) -> bool:
     """The representation order: inclusion of flat families."""
     if r1.hc.ground != r2.hc.ground:
         raise GroundMismatch(r1.hc.ground, r2.hc.ground)
-    return r1.family.members <= r2.family.members
+    return r1.family.masks <= r2.family.masks
 
 
 # -- the walk over representing subfamilies --------------------------------------------
@@ -231,7 +224,7 @@ class RepresentationLattice:
 
     def __contains__(self, fam) -> bool:
         if isinstance(fam, FlatFamily):
-            return frozenset(_family_masks(self.hc, fam)) in self.members
+            return _masks_over(self.hc, fam) in self.members
         return frozenset(fam) in self.members
 
     def minimal_families(self) -> list[frozenset[int]]:
@@ -244,7 +237,7 @@ class RepresentationLattice:
         return sorted(self.members, key=_canon)
 
     def record(self, fam: frozenset[int]) -> RepRecord:
-        return RepRecord(self.hc, _family_from_masks(self.hc, fam))
+        return RepRecord(self.hc, FlatFamily.unchecked(self.hc.ground, fam))
 
     def mindeg(self) -> int:
         full = self.hc.full_mask
@@ -323,7 +316,7 @@ def enumerate_fisfl(hc: HereditaryCollection,
     trivial = frozenset((0, hc.full_mask))
     families = sorted((f | trivial for f in _fisfl_masks(nontrivial)), key=_canon)
     for f in families:
-        yield _family_from_masks(hc, f)
+        yield FlatFamily.unchecked(hc.ground, f)
 
 
 # -- join, stacking, row-sum closure -----------------------------------------------------
@@ -374,7 +367,8 @@ def rowsum_closure(m: BoolMatrix) -> BoolMatrix:
     """Close the rows under boolean sum and adjoin the zero row.
 
     Original rows keep their labels and order; generated rows are appended in
-    a canonical order, labelled by their zero sets.
+    a canonical order, labelled by their zero sets.  The closure can have 2^n
+    rows, so more than ROWSUM_MAX_ROWS distinct sums raise TooLarge.
     """
     base = [tuple(r) for r in m.rows]
     seen = set(base)
@@ -386,6 +380,8 @@ def rowsum_closure(m: BoolMatrix) -> BoolMatrix:
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
+                if len(seen) > ROWSUM_MAX_ROWS:
+                    raise TooLarge(f"row-sum closure exceeds {ROWSUM_MAX_ROWS} rows")
     zero = tuple(0 for _ in m.col_labels)
     seen.add(zero)
     new_rows = sorted(seen - set(base), key=lambda r: (sum(r), r))
@@ -405,24 +401,10 @@ def rowsum_closure(m: BoolMatrix) -> BoolMatrix:
 
 def automorphisms(hc: HereditaryCollection) -> list[dict[str, str]]:
     """Ground permutations preserving the independent sets."""
-    n = len(hc.ground)
-    if n > AUTOMORPHISM_GROUND_CAP:
+    g = hc.ground
+    if len(g) > AUTOMORPHISM_GROUND_CAP:
         raise TooLarge(f"automorphism sweep capped at |E| <= {AUTOMORPHISM_GROUND_CAP}")
-    hm = hc.h_masks
-    out = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for s in hm:
-            t = 0
-            for i in range(n):
-                if (s >> i) & 1:
-                    t |= 1 << perm[i]
-            if t not in hm:
-                ok = False
-                break
-        if ok:
-            out.append({hc.ground[i]: hc.ground[perm[i]] for i in range(n)})
-    return out
+    return [{g[i]: g[j] for i, j in enumerate(p)} for p in hc._automorphisms]
 
 
 def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
@@ -436,20 +418,11 @@ def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
     if not records:
         return 0
     hc = records[0].hc
-    fams = [_family_masks(hc, rec.family) for rec in records]
-    point_bits = [[1 << hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
+    fams = [_masks_over(hc, rec.family) for rec in records]
+    perms = [[hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
     # the image of every member mask under every automorphism, built once
     masks = frozenset().union(*fams)
-    tables = []
-    for bits in point_bits:
-        image = {}
-        for z in masks:
-            t = 0
-            for i, b in enumerate(bits):
-                if (z >> i) & 1:
-                    t |= b
-            image[z] = t
-        tables.append(image)
+    tables = [{z: permuted(z, p) for z in masks} for p in perms]
     seen: set[frozenset[int]] = set()
     count = 0
     for fam in fams:
@@ -496,6 +469,13 @@ def is_rowmin(hc: HereditaryCollection, m: BoolMatrix) -> bool:
 # -- minimum degree -------------------------------------------------------------------------
 
 
+def _leaf_ok(hc: HereditaryCollection, row_masks: Sequence[int]) -> bool:
+    """Do the rows with these zero sets represent hc?  Closing under meets
+    changes no closure; cl(0) != 0 means an all-zero column."""
+    cl = closure_op(row_masks, hc.full_mask)
+    return cl(0) == 0 and _chain_admissible(hc._h_sorted, cl) is None
+
+
 def mindeg(hc: HereditaryCollection,
            enumerate_all: bool = False
            ) -> tuple[int, list[BoolMatrix]]:
@@ -523,26 +503,11 @@ def mindeg(hc: HereditaryCollection,
             i for i, z in enumerate(cands) if (z & x).bit_count() == k - 1)
     constraints.sort(key=lambda x: len(viable[x]))
 
-    def leaf_ok(row_masks: list[int]) -> bool:
-        members = set(row_masks)
-        members.add(full)
-        work = list(members)
-        while work:
-            z = work.pop()
-            for w in list(members):
-                i = w & z
-                if i not in members:
-                    members.add(i)
-                    work.append(i)
-        if 0 not in members:
-            return False  # all-zero column: some point in every row's zero set
-        return _represents_masks(hc, sorted(members))
-
     def to_matrix(row_masks: Sequence[int]) -> BoolMatrix:
         rows = tuple(
             tuple(0 if (z >> i) & 1 else 1 for i in range(len(hc.ground)))
             for z in row_masks)
-        labels = tuple(flat_label(hc.set_of(z), hc.ground) for z in row_masks)
+        labels = tuple(mask_label(z, hc.ground) for z in row_masks)
         return BoolMatrix(rows, hc.ground, labels)
 
     found: list[tuple[int, ...]] = []
@@ -568,7 +533,7 @@ def mindeg(hc: HereditaryCollection,
                     return hit
             if len(chosen) == k:
                 masks = sorted(cands[i] for i in chosen)
-                if leaf_ok(masks):
+                if _leaf_ok(hc, masks):
                     found.append(tuple(masks))
                     return True
                 return False
@@ -576,7 +541,7 @@ def mindeg(hc: HereditaryCollection,
             hit = False
             for extra in itertools.combinations(rest, k - len(chosen)):
                 masks = sorted(cands[i] for i in chosen | frozenset(extra))
-                if leaf_ok(masks):
+                if _leaf_ok(hc, masks):
                     found.append(tuple(masks))
                     hit = True
                     if not collect_all:

@@ -120,10 +120,6 @@ class BoolMatrix:
             out.append(m)
         return tuple(out)
 
-    def zero_set(self, row: int) -> frozenset[str]:
-        """Column labels where the given row is 0."""
-        return frozenset(c for c, v in zip(self.col_labels, self.rows[row]) if v == 0)
-
     # -- derived matrices ------------------------------------------------------
 
     def transpose(self) -> "BoolMatrix":

@@ -1,5 +1,6 @@
 """Command-line behaviors: formats, pipelines, exit codes, reproduce targets."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -117,6 +118,35 @@ class TestStack(object):
         code, out = run_main(capsys, ["stack", "--rowsum", str(m1), str(m2)])
         bits = [ln.split()[-1] for ln in out.strip().split("\n")[1:]]
         assert set(bits) == {"10", "01", "11", "00"}
+
+    def test_stack_rowsum_cap(self, tmp_path, capsys):
+        # the 13x13 identity closes to 2^13 rows, past reps.ROWSUM_MAX_ROWS
+        n = 13
+        eye = tmp_path / "eye.txt"
+        cols = " ".join(f"c{j}" for j in range(n))
+        rows = "".join("0" * i + "1" + "0" * (n - 1 - i) + "\n" for i in range(n))
+        eye.write_text(f"cols: {cols}\n{rows}")
+        code, out = run_main(capsys, ["stack", "--rowsum", str(eye), str(eye)])
+        assert code == 1
+        assert json.loads(out)["error"] == "TooLarge"
+
+
+class TestAutomorphismSweep:
+    def test_minimal_reps_sweeps_once(self, capsys, monkeypatch):
+        _, hc_json = run_main(capsys, ["generate", "fano"])
+        calls = []
+        permutations = itertools.permutations
+
+        def counted(*args):
+            calls.append(args)
+            return permutations(*args)
+
+        monkeypatch.setattr(itertools, "permutations", counted)
+        code, out = run_main(capsys, ["minimal-reps"], stdin_text=hc_json,
+                             monkeypatch=monkeypatch)
+        assert code == 0
+        assert json.loads(out)["counts"]["minimal_orbits"] == 1
+        assert len(calls) == 1
 
 
 class TestGeoMpeg:

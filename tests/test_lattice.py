@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from boolrep.errors import BottomElement, CycleError, NotALattice, ZeroColumn
+from boolrep.errors import (
+    BottomElement,
+    CycleError,
+    NotALattice,
+    NotIntersectionClosed,
+    ZeroColumn,
+)
 from boolrep.lattice import (
+    FlatFamily,
     VGenLattice,
     c_independence_chain,
     c_independent,
@@ -171,6 +178,41 @@ class TestFlatsOfMatrix:
         m = BoolMatrix.build([(0, 1), (0, 1)], col_labels=["a", "b"])
         with pytest.raises(ZeroColumn):
             flats_of_matrix(m)
+
+
+class TestFlatFamily:
+    GROUND = ("a", "b", "c")
+    LABELS = [fs(), fs("a"), fs("b"), fs("a", "b", "c")]
+
+    def test_labels_and_masks_agree(self):
+        by_labels = FlatFamily(self.GROUND, self.LABELS)
+        by_masks = FlatFamily.from_masks(self.GROUND, frozenset({0, 1, 2, 7}))
+        unchecked = FlatFamily.unchecked(self.GROUND, frozenset({7, 2, 1, 0}))
+        assert by_labels == by_masks == unchecked
+        assert hash(by_labels) == hash(by_masks) == hash(unchecked)
+        assert by_labels.masks == frozenset({0, 1, 2, 7})
+        assert by_masks.members == by_labels.members == frozenset(self.LABELS)
+        assert by_masks.sorted_members() == self.LABELS
+        assert by_masks.sorted_masks() == [0, 1, 2, 7]
+        assert fs("a") in by_masks and fs("c") not in by_masks
+        assert len(by_masks) == 4 and by_masks.full
+
+    def test_label_outside_ground(self):
+        with pytest.raises(NotIntersectionClosed, match="outside ground"):
+            FlatFamily(self.GROUND, self.LABELS + [fs("a", "z")])
+
+    def test_invalid_masks(self):
+        with pytest.raises(NotIntersectionClosed, match="full ground set"):
+            FlatFamily.from_masks(self.GROUND, frozenset({0, 1}))
+        with pytest.raises(NotIntersectionClosed):
+            FlatFamily.from_masks(self.GROUND, frozenset({3, 5, 7}))  # no {a}
+
+    def test_closure_of(self):
+        fam = FlatFamily(self.GROUND, self.LABELS)
+        assert fam.closure_of(()) == fs()
+        assert fam.closure_of(("a",)) == fs("a")
+        assert fam.closure_of(("c",)) == fs("a", "b", "c")
+        assert fam.closure_of(("z",)) == fs("a", "b", "c")  # outside E
 
 
 class TestRoundTrips:

@@ -10,11 +10,12 @@ from boolrep.errors import (
     NotACongruence,
     NotADownset,
     NotInjective,
+    NotIntersectionClosed,
     NotJoinClosed,
     NotSurjective,
     TopInIdeal,
 )
-from boolrep.hereditary import HereditaryCollection, example_bigex, uniform
+from boolrep.hereditary import HereditaryCollection, example_bigex, flat_lattice, uniform
 from boolrep.lattice import (
     VGenLattice,
     lattice_from_covers,
@@ -391,6 +392,22 @@ class TestClosureCongruence:
                     sorted(map(sorted, rho.blocks))
                 fam2 = family_from_congruence(vg, back)
                 assert fam2 == fam
+
+    def test_family_errors(self):
+        vg = flat_lattice(example_bigex())  # generators {1} .. {4}
+
+        def fam(*sets):
+            return [frozenset("{%s}" % p for p in s) for s in sets]
+
+        with pytest.raises(NotIntersectionClosed, match="outside ground"):
+            congruence_from_family(vg, fam("", "1234") + [fs("z")])
+        with pytest.raises(NotIntersectionClosed, match="full ground set"):
+            congruence_from_family(vg, fam("", "1", "14"))
+        with pytest.raises(NotIntersectionClosed, match="not a flat"):
+            congruence_from_family(vg, fam("", "1", "2", "12", "1234"))
+        with pytest.raises(NotIntersectionClosed) as err:  # {1,4} & {2,4} missing
+            congruence_from_family(vg, fam("", "14", "24", "1234"))
+        assert sorted(err.value.args[0]) == [["{1}", "{4}"], ["{2}", "{4}"]]
 
 
 class TestQuotientBySubsemilattice:

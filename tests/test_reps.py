@@ -8,7 +8,7 @@ import random
 import pytest
 
 import boolrep
-from boolrep import reps
+from boolrep import hereditary, lattice, reps
 from boolrep.errors import (
     BoolrepError,
     NotRepresentable,
@@ -497,6 +497,85 @@ class TestMindeg:
     def test_not_representable_raises(self):
         with pytest.raises(NotRepresentable):
             mindeg(union_hc(*example_unio()))
+
+
+class TestMaskFamilies:
+    """The membership test, the walk and orbit counting read and write mask
+    families: none of them converts between masks and label sets."""
+
+    def test_no_label_conversion(self, monkeypatch):
+        u35, u36 = uniform(3, 5), uniform(3, 6)
+        for hc in (u35, u36):
+            hc.h_masks  # parsing the collection converts its labels once
+        families = list(enumerate_fisfl(u35))
+
+        def refuse(*args):
+            raise RuntimeError("a mask/label conversion")
+
+        for mod in (lattice, hereditary, reps):
+            for name in ("labels_to_mask", "mask_to_labels"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        with pytest.raises(RuntimeError):
+            u35.mask_of(("1",))
+        assert sum(represents(u35, f) for f in families) == 553
+        assert len(list(enumerate_fisfl(u35))) == len(families)
+        walk = RepresentationLattice(u36)
+        sji = [walk.record(f) for f in walk.sji_families()]
+        assert count_up_to_e_bijection(sji) == 7
+
+
+def _smi_by_covers(members, full):
+    """The cover count that the meet test replaced: members other than E
+    with at most one minimal strict superset."""
+    out = []
+    for z in members:
+        if z == full:
+            continue
+        sups = [w for w in members if w != z and w & z == z]
+        covers = [w for w in sups if not any(v != w and w & v == v for v in sups)]
+        if len(covers) <= 1:
+            out.append(z)
+    return out
+
+
+def _leaf_by_meet_closure(hc, row_masks):
+    """The leaf test that closed the rows under meets itself."""
+    members = set(row_masks) | {hc.full_mask}
+    work = list(members)
+    while work:
+        z = work.pop()
+        for w in list(members):
+            if w & z not in members:
+                members.add(w & z)
+                work.append(w & z)
+    return 0 in members and reps._represents_masks(hc, sorted(members))
+
+
+class TestMaskKernelOracles:
+    @pytest.mark.parametrize("hc", [BIGEX, fano(), uniform(3, 5)],
+                             ids=["bigex", "fano", "u35"])
+    def test_smi_meet_test_matches_cover_count(self, hc):
+        for fam in RepresentationLattice(hc).members:
+            ms = sorted(fam)
+            assert reps._smi_masks(ms, hc.full_mask) == _smi_by_covers(ms, hc.full_mask)
+
+    @pytest.mark.parametrize("hc", [BIGEX, fano(), uniform(3, 6), uniform(3, 7)],
+                             ids=["bigex", "fano", "u36", "u37"])
+    def test_leaf_matches_meet_closure(self, hc):
+        rng = random.Random(f"leaf:{len(hc.ground)}:{hc.rank}")
+        cands = sorted(m for m in hc._flat_masks if m != hc.full_mask)
+        seen = set()
+        for _ in range(3000):
+            rows = sorted(rng.sample(cands, rng.randint(1, len(cands))))
+            ok = reps._leaf_ok(hc, rows)
+            assert ok == _leaf_by_meet_closure(hc, rows)
+            seen.add(ok)
+        assert seen == {True, False}
+
+    def test_mindeg_ladder(self):
+        ladder = (uniform(3, 6), uniform(3, 7), uniform(3, 8), fano(), BIGEX)
+        assert [mindeg(hc)[0] for hc in ladder] == [6, 9, 12, 4, 3]
 
 
 class TestNoAssertValidation:
