@@ -161,7 +161,7 @@ def _rep_report(args, which: str) -> int:
     for f in chosen:
         rec = recs[f]
         families.append({
-            "family": _subsets_sorted(hc, rec.family.members),
+            "family": _subsets_sorted(hc, map(hc.set_of, rec.family.masks)),
             "in_im_theta": True,
             "minimal": f in minset,
             "sji": True,

@@ -302,17 +302,22 @@ class HereditaryCollection:
 
 @dataclass(frozen=True)
 class RankFunction:
-    """The full rank table of a hereditary collection."""
+    """The full rank table of a hereditary collection, indexed by mask
+    (bit i is ground[i])."""
 
     ground: tuple[str, ...]
-    table: dict
+    table: tuple[int, ...]
 
     def of(self, xs: Iterable[str]) -> int:
-        return self.table[frozenset(xs)]
+        return self.table[labels_to_mask(xs, self._index)]
 
     @property
     def rank(self) -> int:
-        return self.table[frozenset(self.ground)]
+        return self.table[-1]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {g: i for i, g in enumerate(self.ground)}
 
 
 def rank_function(hc: HereditaryCollection, check_submodular: Optional[bool] = None
@@ -363,8 +368,7 @@ def rank_function(hc: HereditaryCollection, check_submodular: Optional[bool] = N
             for y in range(1 << n):
                 if r[x] + r[y] < r[x | y] + r[x & y]:
                     raise BoolrepError("submodularity failed")
-    table = {hc.set_of(m): r[m] for m in range(1 << n)}
-    return RankFunction(hc.ground, table)
+    return RankFunction(hc.ground, tuple(r))
 
 
 def hyperplanes(hc: HereditaryCollection) -> frozenset[frozenset[str]]:
@@ -394,26 +398,21 @@ def _chain_admissible(h_masks_sorted: Sequence[int], cl) -> Optional[int]:
 
     `cl` maps a subset mask to its closure mask.  Returns a failing mask or
     None.  Strictness of Cl(x_i..x_k) over Cl(x_{i+1}..x_k) is equivalent to
-    x_i lying outside the smaller closure.
+    x_i lying outside the smaller closure.  H is downward closed and scanned
+    by size, and the scan stops at the first failure, so every proper subset
+    of x already has a chain: x needs one point outside the closure of the
+    rest.
     """
-    ch: dict[int, bool] = {0: True}
     for x in h_masks_sorted:
-        if x == 0:
-            continue
         if x & (x - 1) == 0:
-            ch[x] = True
             continue
-        ok = False
         m = x
         while m:
             low = m & (-m)
-            rest = x ^ low
-            if ch[rest] and not (cl(rest) & low):
-                ok = True
+            if not (cl(x ^ low) & low):
                 break
             m ^= low
-        ch[x] = ok
-        if not ok:
+        else:
             return x
     return None
 

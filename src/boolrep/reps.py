@@ -13,6 +13,7 @@ most one.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -91,11 +92,12 @@ def represents(hc: HereditaryCollection, fam: FlatFamily) -> bool:
 # -- smi members of a family ---------------------------------------------------------
 
 
-def _smi_masks(members: Sequence[int], full: int) -> list[int]:
-    """Members (except E) covered by at most one other member under inclusion.
+def _smi_covers(members: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """Pairs (z, u): z is a member other than E covered by exactly one other
+    member u under inclusion.
 
     Two covers of z meet in z, so these are the members that differ from the
-    meet of their strict supersets.
+    meet u of their strict supersets, and that meet is then the unique cover.
     """
     out = []
     for z in members:
@@ -106,8 +108,13 @@ def _smi_masks(members: Sequence[int], full: int) -> list[int]:
             if w & z == z and w != z:
                 meet &= w
         if meet != z:
-            out.append(z)
+            out.append((z, meet))
     return out
+
+
+def _smi_masks(members: Sequence[int], full: int) -> list[int]:
+    """Members (except E) covered by at most one other member under inclusion."""
+    return [z for z, _ in _smi_covers(members, full)]
 
 
 def smi_members(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[frozenset[str]]:
@@ -171,6 +178,49 @@ def order_le(r1: RepRecord, r2: RepRecord) -> bool:
 # -- the walk over representing subfamilies --------------------------------------------
 
 
+def _child_represents(pairs_up: Sequence[int], cl, z: int, u: int) -> bool:
+    """Does P - {z} represent, given that P does?
+
+    pairs_up lists the independent sets of two or more points by size, cl is
+    P's closure and u the unique cover of the smi member z.  Removing z
+    changes the closure only where cl(s) == z, which becomes u; such an s
+    lies inside x only when cl(x & z) == z, so every other independent x
+    keeps its chain from P and only the remaining ones are re-tested.  As in
+    `_chain_admissible`, each smaller independent set is already known to
+    have a chain, so x needs one point outside the closure of the rest.
+    """
+    for x in pairs_up:
+        if cl(x & z) == z:
+            m = x
+            while m:
+                low = m & -m
+                c = cl(x ^ low)
+                if not (u if c == z else c) & low:
+                    break
+                m ^= low
+            else:
+                return False
+    return True
+
+
+class _Families(Set):
+    """A walk's families as frozensets of point masks, made on demand."""
+
+    _from_iterable = frozenset  # set algebra on the view gives frozensets
+
+    def __init__(self, walk: "RepresentationLattice"):
+        self._walk = walk
+
+    def __len__(self) -> int:
+        return len(self._walk.nchildren)
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return map(self._walk._family, self._walk.nchildren)
+
+    def __contains__(self, fam) -> bool:
+        return self._walk._key(fam) in self._walk.nchildren
+
+
 class RepresentationLattice:
     """All representing subfamilies of Fl(E,H), with minimal/sji structure.
 
@@ -180,6 +230,14 @@ class RepresentationLattice:
     families form an up-set, so the walk is exhaustive.  Each member is
     popped once and all its covering steps are tested then, so the walk also
     records how many representing children (lower covers) each member has.
+
+    A family is keyed by one int over the flat indices: bit i stands for
+    `flats[i]`, the i-th flat mask in increasing order.  A child C = P - {z}
+    is tested from its parent's closure: where cl_P(s) == z, cl_C(s) is z's
+    unique cover u, and elsewhere cl_C(s) == cl_P(s) (see
+    `_child_represents`).  `nchildren` maps each member's key to its number
+    of representing children; `members` and the listing methods give
+    frozensets of point masks, made only for the families they return.
     """
 
     def __init__(self, hc: HereditaryCollection,
@@ -187,7 +245,7 @@ class RepresentationLattice:
         if not hc.is_simple():
             raise NotSimple("representation theory needs a simple collection")
         self.hc = hc
-        flats = sorted(hc._flat_masks)
+        self.flats = flats = tuple(sorted(hc._flat_masks))
         nontrivial = [m for m in flats if m not in (0, hc.full_mask)]
         if len(nontrivial) > max_nontrivial:
             raise TooLarge(
@@ -195,43 +253,74 @@ class RepresentationLattice:
                 f"{max_nontrivial}; raise max_nontrivial explicitly")
         if not is_boolean_representable(hc):
             raise NotRepresentable("the collection has no boolean representation")
-        top = frozenset(flats)
+        self._bit = bit = {m: 1 << i for i, m in enumerate(flats)}
         full = hc.full_mask
-        tested: dict[frozenset[int], bool] = {top: True}
-        nchildren: dict[frozenset[int], int] = {}
+        pairs_up = [x for x in hc._h_sorted if x & (x - 1)]
+        top = (1 << len(flats)) - 1
+        tested: dict[int, bool] = {top: True}
+        nchildren: dict[int, int] = {}
         stack = [top]
         while stack:
-            fam = stack.pop()
+            key = stack.pop()
+            members = self._members(key)
+            cl = closure_op(members, full)
             count = 0
-            for z in _smi_masks(sorted(fam), full):
+            for z, u in _smi_covers(members, full):
                 if z == 0:
                     continue  # fullness: the empty set stays
-                child = fam - {z}
+                child = key ^ bit[z]
                 hit = tested.get(child)
                 if hit is None:
-                    hit = _represents_masks(hc, sorted(child))
+                    hit = _child_represents(pairs_up, cl, z, u)
                     tested[child] = hit
                     if hit:
                         stack.append(child)
                 count += hit
-            nchildren[fam] = count
-        self.top = top
+            nchildren[key] = count
+        self.top = frozenset(flats)
         self.nchildren = nchildren
-        self.members = nchildren.keys()
+        self.members = _Families(self)
+
+    def _members(self, key: int) -> list[int]:
+        """The flat masks of a key, in increasing order."""
+        flats = self.flats
+        out = []
+        while key:
+            low = key & -key
+            out.append(flats[low.bit_length() - 1])
+            key ^= low
+        return out
+
+    def _family(self, key: int) -> frozenset[int]:
+        return frozenset(self._members(key))
+
+    def _key(self, fam) -> Optional[int]:
+        """The key of a FlatFamily or a set of point masks; None if some
+        member is not a flat."""
+        masks = _masks_over(self.hc, fam) if isinstance(fam, FlatFamily) else frozenset(fam)
+        key = 0
+        for m in masks:
+            b = self._bit.get(m)
+            if b is None:
+                return None
+            key |= b
+        return key
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.nchildren)
 
     def __contains__(self, fam) -> bool:
-        if isinstance(fam, FlatFamily):
-            return _masks_over(self.hc, fam) in self.members
-        return frozenset(fam) in self.members
+        return fam in self.members
+
+    def _sorted_where(self, keep) -> list[frozenset[int]]:
+        return sorted((self._family(k) for k, n in self.nchildren.items() if keep(n)),
+                      key=_canon)
 
     def minimal_families(self) -> list[frozenset[int]]:
-        return sorted((f for f, k in self.nchildren.items() if k == 0), key=_canon)
+        return self._sorted_where(lambda n: n == 0)
 
     def sji_families(self) -> list[frozenset[int]]:
-        return sorted((f for f, k in self.nchildren.items() if k <= 1), key=_canon)
+        return self._sorted_where(lambda n: n <= 1)
 
     def sorted_families(self) -> list[frozenset[int]]:
         return sorted(self.members, key=_canon)
@@ -241,7 +330,7 @@ class RepresentationLattice:
 
     def mindeg(self) -> int:
         full = self.hc.full_mask
-        return min(len(_smi_masks(sorted(f), full)) for f in self.members)
+        return min(len(_smi_masks(self._members(k), full)) for k in self.nchildren)
 
 
 def enumerate_im_theta(hc: HereditaryCollection,
@@ -301,11 +390,15 @@ def _fisfl_masks(nontrivial: Sequence[int]) -> Iterator[frozenset[int]]:
 def enumerate_fisfl(hc: HereditaryCollection,
                     max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
                     max_subsets: int = 1 << 22) -> Iterator[FlatFamily]:
-    """All full intersection-closed subfamilies of the flats, sorted canonically."""
+    """All full intersection-closed subfamilies of the flats, streamed in DFS
+    order: each family is yielded as the DFS of `_fisfl_masks` reaches it
+    (nontrivial flats by decreasing size, a flat's exclusion branch before
+    its inclusion branch).  Callers that need an order sort for themselves.
+    """
     if not hc.is_simple():
         raise NotSimple("subfamily enumeration needs a simple collection")
-    flats = sorted(hc._flat_masks)
-    nontrivial = sorted((m for m in flats if m not in (0, hc.full_mask)),
+    full = hc.full_mask
+    nontrivial = sorted((m for m in hc._flat_masks if m not in (0, full)),
                         key=lambda m: (-m.bit_count(), m))
     if len(nontrivial) > max_nontrivial:
         raise TooLarge(
@@ -313,10 +406,9 @@ def enumerate_fisfl(hc: HereditaryCollection,
     if 1 << len(nontrivial) > max_subsets:
         raise TooLarge(
             f"2^{len(nontrivial)} candidate subsets exceed the cap {max_subsets}")
-    trivial = frozenset((0, hc.full_mask))
-    families = sorted((f | trivial for f in _fisfl_masks(nontrivial)), key=_canon)
-    for f in families:
-        yield FlatFamily.unchecked(hc.ground, f)
+    trivial = frozenset((0, full))
+    for f in _fisfl_masks(nontrivial):
+        yield FlatFamily.unchecked(hc.ground, f | trivial)
 
 
 # -- join, stacking, row-sum closure -----------------------------------------------------
@@ -420,15 +512,18 @@ def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
     hc = records[0].hc
     fams = [_masks_over(hc, rec.family) for rec in records]
     perms = [[hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
-    # the image of every member mask under every automorphism, built once
+    # every member mask and each of its images gets one bit, so a family's
+    # image under an automorphism is one int; the tables are built once
     masks = frozenset().union(*fams)
-    tables = [{z: permuted(z, p) for z in masks} for p in perms]
-    seen: set[frozenset[int]] = set()
+    bit = {z: 1 << i for i, z in enumerate(masks)}
+    tables = [{z: bit.setdefault(permuted(z, p), 1 << len(bit)) for z in masks}
+              for p in perms]
+    seen: set[int] = set()
     count = 0
     for fam in fams:
-        if fam not in seen:
+        if sum(map(bit.__getitem__, fam)) not in seen:
             count += 1
-            seen.update(frozenset(map(image.__getitem__, fam)) for image in tables)
+            seen.update(sum(map(image.__getitem__, fam)) for image in tables)
     return count
 
 

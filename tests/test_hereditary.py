@@ -247,6 +247,19 @@ class TestRank:
                 for y in sets:
                     assert rf.of(x) + rf.of(y) >= rf.of(x | y)
 
+    def test_of_matches_brute_force(self):
+        # the mask-indexed table agrees with the largest independent subset,
+        # for every subset given as labels in any order
+        rng = random.Random(20121030)
+        for _ in range(10):
+            hc = random_hc(rng, 5)
+            rf = rank_function(hc, check_submodular=False)
+            for r in range(6):
+                for c in itertools.combinations(hc.ground, r):
+                    best = max(len(s) for s in hc.independents if s <= frozenset(c))
+                    assert rf.of(c) == rf.of(reversed(c)) == best
+            assert rf.rank == hc.rank
+
     def test_submodularity_on_matroids(self):
         rank_function(uniform(2, 4), check_submodular=True)
         rank_function(example_bigex(), check_submodular=True)

@@ -144,6 +144,35 @@ class TestEnumerateFisfl:
         with pytest.raises(TooLarge):
             list(enumerate_fisfl(uniform(3, 6), max_nontrivial=10))
 
+    @pytest.mark.parametrize("hc,count", [(BIGEX, 143), (fano(), 3_552),
+                                          (uniform(3, 5), 4_945)],
+                             ids=["bigex", "fano", "u35"])
+    def test_stream_matches_sorted_reference(self, hc, count):
+        # the streamed families, as a set, are the DFS leaves closed with
+        # {0, E} and sorted, as the enumeration yielded them before
+        full = hc.full_mask
+        nontrivial = sorted((m for m in hc._flat_masks if m not in (0, full)),
+                            key=lambda m: (-m.bit_count(), m))
+        reference = sorted((f | {0, full} for f in reps._fisfl_masks(nontrivial)),
+                           key=sorted)
+        streamed = [f.masks for f in enumerate_fisfl(hc)]
+        assert len(set(streamed)) == len(streamed) == count
+        assert sorted(streamed, key=sorted) == reference
+
+    def test_first_family_before_the_dfs_ends(self, monkeypatch):
+        # the first family comes out when the DFS reaches its first leaf
+        reached = []
+        dfs = reps._fisfl_masks
+
+        def recording(nontrivial):
+            for f in dfs(nontrivial):
+                reached.append(f)
+                yield f
+
+        monkeypatch.setattr(reps, "_fisfl_masks", recording)
+        next(enumerate_fisfl(uniform(3, 5)))
+        assert len(reached) == 1
+
 
 class TestWalk:
     def test_walk_equals_brute_filter_bigex(self):
@@ -467,6 +496,33 @@ class TestClassificationOracle:
         assert set(walk.members) == set(rep)
         assert walk.minimal_families() == sorted(minimal, key=sorted)
         assert walk.sji_families() == sorted(sji, key=sorted)
+
+
+class TestChildTestOracle:
+    """The walk tests each child P - {z} from its parent's closure; here each
+    smi child of every member is judged by the full chain DP over a closure
+    built for the child alone."""
+
+    @pytest.mark.parametrize("name", ["bigex", "fano", "u35", "u36"])
+    def test_children_match_full_dp(self, name, request):
+        if name == "u36":
+            walk = request.getfixturevalue("u36_walk")
+        else:
+            walk = RepresentationLattice(
+                {"bigex": BIGEX, "fano": fano(), "u35": uniform(3, 5)}[name])
+        hc = walk.hc
+        full = hc.full_mask
+        outcomes = set()
+        for fam in walk.members:
+            for z in reps._smi_masks(sorted(fam), full):
+                if z == 0:
+                    continue
+                child = fam - {z}
+                ok = hereditary._chain_admissible(
+                    hc._h_sorted, hereditary.closure_op(sorted(child), full)) is None
+                assert (child in walk.members) == ok
+                outcomes.add(ok)
+        assert outcomes == {True, False}
 
 
 class TestMindeg:
