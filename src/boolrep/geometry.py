@@ -17,14 +17,13 @@ from typing import Iterable
 from .errors import (
     BadMpeg,
     FormatError,
-    NotALattice,
     NotAtomic,
     TooFewLines,
     WrongHeight,
     WrongSize,
 )
 from .hereditary import HereditaryCollection, _json_label_sets, _json_labels
-from .lattice import FiniteLattice, VGenLattice, flat_label
+from .lattice import FiniteLattice, VGenLattice, check_lattice_cap, flat_label
 
 
 @dataclass(frozen=True)
@@ -122,22 +121,18 @@ def geo_of_lattice(vg: VGenLattice) -> PEG:
     lat = vg.lattice
     if lat.height() != 3:
         raise WrongHeight(f"geometry extraction needs height 3, got {lat.height()}")
-    lines: set[frozenset[str]] = set()
-    interior = [x for x in lat.labels if x not in (lat.top, lat.bottom)]
-    traces = [vg.z_of(x) for x in interior]
-    for t in traces:
-        if len(t) >= 2:
-            lines.add(t)
-    # two interior elements cannot share a >= 2 trace at height 3; check anyway
-    big = [t for t in traces if len(t) >= 2]
-    if len(big) != len(set(big)):
-        raise NotALattice("duplicate line traces in a height-3 lattice")
-    g = PEG(vg.gens, frozenset(lines))
-    return g
+    # every element is the join of the generators below it (VGenLattice), so
+    # distinct interior elements have distinct traces
+    traces = (vg.z_of(x) for x in lat.labels if x not in (lat.top, lat.bottom))
+    return PEG(vg.gens, frozenset(t for t in traces if len(t) >= 2))
 
 
 def lat_of_peg(g: PEG) -> VGenLattice:
-    """Stack bottom, points, lines, top; points sit below their lines."""
+    """Stack bottom, points, lines, top; points sit below their lines.
+
+    A lattice over the cap is refused before the quadratic validation.
+    """
+    check_lattice_cap(2 + len(g.points) + len(g.lines))
     rep = validate_peg(g)
     if not rep.ok:
         raise FormatError(f"not a valid geometry: {rep.violations[:1]}")
@@ -159,8 +154,7 @@ def lat_of_peg(g: PEG) -> VGenLattice:
     for p in g.points:
         if not g.lines_through(p):
             pairs.append((p, top))
-    lat = FiniteLattice.from_covers(elements, pairs,
-                                    max_size=max(64, len(elements) + 1))
+    lat = FiniteLattice.from_covers(elements, pairs)
     return VGenLattice(lat, tuple(g.points))
 
 
@@ -235,21 +229,16 @@ def mpeg_of_atomic_lattice(lat: FiniteLattice) -> MPeg:
 
 
 def lattice_of_mpeg(g: MPeg) -> VGenLattice:
-    """Members of all strata plus the empty set, ordered by inclusion."""
+    """Members of all strata plus the empty set, ordered by inclusion.
+
+    A lattice over the cap is refused before the quadratic validation.
+    """
+    members = frozenset().union(*g.strata) | {frozenset()}
+    check_lattice_cap(len(members))
     rep = validate_mpeg(g)
     if not rep.ok:
         raise BadMpeg(rep.violations[:1])
-    members: set[frozenset[str]] = {frozenset()}
-    for stratum in g.strata:
-        members |= set(stratum)
-    ms = sorted(members, key=lambda s: (len(s), tuple(sorted(s))))
-    labels = {s: flat_label(s, g.ground) for s in ms}
-    pairs = []
-    for a, b in itertools.permutations(ms, 2):
-        if a < b:
-            pairs.append((labels[a], labels[b]))
-    lat = FiniteLattice.from_covers([labels[s] for s in ms], pairs,
-                                    max_size=max(64, len(ms) + 1))
+    lat, labels = FiniteLattice.from_family(members, lambda s: flat_label(s, g.ground))
     gens = tuple(labels[frozenset((a,))] for a in g.ground)
     return VGenLattice(lat, gens)
 

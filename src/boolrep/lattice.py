@@ -56,12 +56,13 @@ class FiniteLattice:
         cls,
         elements: Sequence[str],
         cover_pairs: Iterable[tuple[str, str]],
-        max_size: int = DEFAULT_LATTICE_CAP,
+        max_size: Optional[int] = None,
     ) -> "FiniteLattice":
         """Build and validate from labels and (lower, upper) order generators.
 
         Rejects cyclic inputs and posets where some pair lacks a unique join
-        or meet (the offending pair is reported).
+        or meet (the offending pair is reported), and, with max_size, more
+        than max_size elements.
         """
         labels = tuple(elements)
         if len(set(labels)) != len(labels):
@@ -69,8 +70,7 @@ class FiniteLattice:
         n = len(labels)
         if n == 0:
             raise NotALattice("empty element set")
-        if n > max_size:
-            raise TooLarge(f"lattice cap exceeded: {n} > {max_size}")
+        check_lattice_cap(n, max_size)
         index = {l: i for i, l in enumerate(labels)}
         succs: list[set[int]] = [set() for _ in range(n)]
         for a, b in cover_pairs:
@@ -158,22 +158,19 @@ class FiniteLattice:
         return found
 
     @classmethod
-    def from_family(
-        cls, members: Iterable[frozenset], labeler, max_size: int = DEFAULT_LATTICE_CAP
-    ) -> tuple["FiniteLattice", dict]:
+    def from_family(cls, members: Iterable[frozenset], labeler
+                    ) -> tuple["FiniteLattice", dict]:
         """Lattice of a set family ordered by inclusion (meets must exist).
 
         Returns the lattice plus the member -> label map.  Members are sorted
-        by (size, sorted contents) so construction is deterministic.
+        by (size, sorted contents) so construction is deterministic; every
+        strict inclusion is passed on, and from_covers reduces them to covers.
         """
         ms = sorted(set(members), key=lambda s: (len(s), tuple(sorted(s))))
         labels = {s: labeler(s) for s in ms}
-        pairs = []
-        for a, b in itertools.permutations(ms, 2):
-            if a < b and not any(a < c < b for c in ms):
-                pairs.append((labels[a], labels[b]))
-        lat = cls.from_covers([labels[s] for s in ms], pairs, max_size=max_size)
-        return lat, labels
+        pairs = [(labels[a], labels[b])
+                 for a, b in itertools.permutations(ms, 2) if a < b]
+        return cls.from_covers([labels[s] for s in ms], pairs), labels
 
     # -- queries ---------------------------------------------------------------
 
@@ -268,7 +265,13 @@ class FiniteLattice:
         return f"FiniteLattice({len(self.labels)} elements, height {self.height()})"
 
 
-def lattice_from_covers(elements, cover_pairs, max_size: int = DEFAULT_LATTICE_CAP):
+def check_lattice_cap(n: int, cap: Optional[int] = DEFAULT_LATTICE_CAP) -> None:
+    """Refuse a lattice of n elements over the cap (None: no cap)."""
+    if cap is not None and n > cap:
+        raise TooLarge(f"lattice cap exceeded: {n} > {cap}")
+
+
+def lattice_from_covers(elements, cover_pairs, max_size: Optional[int] = None):
     return FiniteLattice.from_covers(elements, cover_pairs, max_size=max_size)
 
 
@@ -485,17 +488,15 @@ def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]
     return FlatFamily.from_masks(ground, frozenset(members)), y
 
 
-def lattice_of_family(fam: FlatFamily, max_size: int = DEFAULT_LATTICE_CAP):
+def lattice_of_family(fam: FlatFamily):
     """(FiniteLattice ordered by inclusion, member -> label map)."""
-    return FiniteLattice.from_family(
-        fam.members, lambda s: flat_label(s, fam.ground), max_size=max_size
-    )
+    return FiniteLattice.from_family(fam.members, lambda s: flat_label(s, fam.ground))
 
 
-def lattice_from_matrix(m: BoolMatrix, max_size: int = DEFAULT_LATTICE_CAP) -> VGenLattice:
+def lattice_from_matrix(m: BoolMatrix) -> VGenLattice:
     """The flat lattice of m, join-generated by the column flats."""
     fam, y = flats_of_matrix(m)
-    lat, labels = lattice_of_family(fam, max_size=max_size)
+    lat, labels = lattice_of_family(fam)
     gens = []
     for c in m.col_labels:
         lbl = labels[y[c]]

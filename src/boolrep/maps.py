@@ -254,8 +254,7 @@ def quotient_lattice(lat: FiniteLattice, rho: VCongruence,
         if lat.leq(x, y) and x != y:
             pairs.add((x, y))
     # order generators suffice; from_covers recomputes the reduction
-    q = FiniteLattice.from_covers(elems, sorted(pairs),
-                                  max_size=max(64, len(elems) + 1))
+    q = FiniteLattice.from_covers(elems, sorted(pairs))
     qgens = None
     if gens is not None:
         qgens = tuple(dict.fromkeys(
@@ -286,8 +285,7 @@ def rees_quotient(lat: FiniteLattice, ideal: Iterable[str]) -> FiniteLattice:
     for x, y in itertools.permutations(keep, 2):
         if lat.leq(x, y):
             pairs.append((x, y))
-    return FiniteLattice.from_covers([bot] + keep, pairs,
-                                     max_size=max(64, len(keep) + 2))
+    return FiniteLattice.from_covers([bot] + keep, pairs)
 
 
 def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLattice:
@@ -431,7 +429,7 @@ def mpi_factorize(phi: VMap) -> list[MpiStep]:
 def _sublattice(lat: FiniteLattice, labels: Iterable[str]) -> FiniteLattice:
     keep = sorted(frozenset(labels), key=lat.index)
     pairs = [(x, y) for x, y in itertools.permutations(keep, 2) if lat.leq(x, y)]
-    return FiniteLattice.from_covers(keep, pairs, max_size=max(64, len(keep) + 1))
+    return FiniteLattice.from_covers(keep, pairs)
 
 
 def csi_factorize(phi: VMap) -> tuple[list[MpsStep], list[MpiStep]]:

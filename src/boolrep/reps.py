@@ -135,8 +135,7 @@ class RepRecord:
 
     @cached_property
     def lattice(self) -> VGenLattice:
-        lat, labels = lattice_of_family(
-            self.family, max_size=max(64, len(self.family) + 1))
+        lat, labels = lattice_of_family(self.family)
         gens = []
         for e in self.hc.ground:
             lbl = labels[self.family.closure_of((e,))]

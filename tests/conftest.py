@@ -143,7 +143,7 @@ def lattice_from_masks(downs) -> FiniteLattice:
         for j in range(n):
             if i != j and (downs[j] >> i) & 1:
                 pairs.append((labels[i], labels[j]))
-    return FiniteLattice.from_covers(labels, pairs, max_size=max(64, n + 1))
+    return FiniteLattice.from_covers(labels, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +170,7 @@ def all_vgens(lat: FiniteLattice):
 
 
 def random_closure_lattice(rng: random.Random, universe: int = 4,
-                           seeds: int = 4, max_size: int = 24) -> FiniteLattice:
+                           seeds: int = 4) -> FiniteLattice:
     """Random intersection-closed family of subsets, ordered by inclusion."""
     items = list(range(universe))
     members = {frozenset(items)}
@@ -185,8 +185,7 @@ def random_closure_lattice(rng: random.Random, universe: int = 4,
                 members.add(c)
                 work.append(c)
     lat, _ = FiniteLattice.from_family(
-        members, lambda s: "".join(str(x) for x in sorted(s)) or "o",
-        max_size=max(64, len(members) + 1))
+        members, lambda s: "".join(str(x) for x in sorted(s)) or "o")
     return lat
 
 

@@ -93,6 +93,14 @@ class TestPipelines:
         data = json.loads(out)
         assert all(len(f) <= 3 for f in data["facets"])
 
+    def test_json_output_format(self, capsys, monkeypatch):
+        # the streamed output is the sorted, 2-space indented dump plus "\n"
+        _, hc_json = run_main(capsys, ["generate", "bigex"])
+        code, out = run_main(capsys, ["sji-reps"], stdin_text=hc_json,
+                             monkeypatch=monkeypatch)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
     def test_table_format(self, capsys, monkeypatch):
         _, hc_json = run_main(capsys, ["generate", "bigex"])
         code, out = run_main(capsys, ["--format", "table", "flats"],
@@ -260,6 +268,48 @@ class TestErrorsAndCodes:
         hc = json.dumps({"ground": ground, "facets": [ground]})
         code, out = run_main(capsys, ["flats"], stdin_text=hc,
                              monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == "TooLarge"
+
+    def test_facet_outside_ground_before_expansion(self, capsys, monkeypatch):
+        # a 40-label facet outside a 2-point ground would expand 2^40 subsets
+        from boolrep import hereditary
+        expand = hereditary._all_subsets
+
+        def guarded(items):
+            if len(items) > 2:
+                raise AssertionError("a facet was expanded before the ground check")
+            return expand(items)
+
+        monkeypatch.setattr(hereditary, "_all_subsets", guarded)
+        hc = json.dumps({"ground": ["1", "2"],
+                         "facets": [[f"x{i}" for i in range(40)]]})
+        code, out = run_main(capsys, ["flats"], stdin_text=hc,
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == "FormatError"
+
+    @pytest.mark.parametrize("verb,validator,data", [
+        pytest.param("geo", "validate_peg",
+                     {"points": [str(i) for i in range(1, 64)],
+                      "lines": [["1", "2"], ["3", "4"]]}, id="geo"),
+        pytest.param("mpeg", "validate_mpeg",
+                     {"ground": [str(i) for i in range(1, 65)],
+                      "strata": [[[str(i)] for i in range(1, 65)],
+                                 [["1", "2"], ["3", "4"]],
+                                 [[str(i) for i in range(1, 65)]]]}, id="mpeg"),
+    ])
+    def test_lattice_input_over_cap_is_1(self, capsys, monkeypatch, verb,
+                                         validator, data):
+        # refused on its element count, before the quadratic validation
+        from boolrep import geometry
+
+        def never(g):
+            raise AssertionError("validated past the lattice cap")
+
+        monkeypatch.setattr(geometry, validator, never)
+        code, out = run_main(capsys, [verb, "--to-lattice"],
+                             stdin_text=json.dumps(data), monkeypatch=monkeypatch)
         assert code == 1
         assert json.loads(out)["error"] == "TooLarge"
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolrep.errors import NotAtomic, TooFewLines, WrongHeight, WrongSize
+from boolrep.errors import NotAtomic, TooFewLines, TooLarge, WrongHeight, WrongSize
 from boolrep.geometry import (
     MPeg,
     PEG,
@@ -105,7 +105,19 @@ class TestGeoLat:
             vg = VGenLattice(lat, nb)
             g = geo_of_lattice(vg)
             assert validate_peg(g).ok
+            # geo_of_lattice relies on distinct interior elements having
+            # distinct generator traces
+            traces = [vg.z_of(x) for x in lat.labels if x not in (lat.top, lat.bottom)]
+            assert len(set(traces)) == len(traces)
             found += 1
+
+    def test_cap_boundary(self):
+        # the lattice has 2 + |points| + |lines| elements: 64 is built, 65 refused
+        lines = frozenset({fs("1", "2"), fs("3", "4")})
+        points = tuple(str(i) for i in range(1, 62))
+        assert len(lat_of_peg(PEG(points[:60], lines)).lattice) == 64
+        with pytest.raises(TooLarge):
+            lat_of_peg(PEG(points, lines))
 
     def test_peg_round_trip_through_lattice(self):
         rng = random.Random(321)
@@ -216,6 +228,17 @@ class TestMpeg:
                 lbl = "{" + ",".join(
                     sorted(p_stratum, key=list(g.ground).index)) + "}"
                 assert back.lattice.height_of(lbl) == i
+
+    def test_cap_boundary(self):
+        # the empty set, the atoms, two pairs and E: 64 is built, 65 refused
+        def mpeg(n):
+            ground = tuple(str(i) for i in range(1, n + 1))
+            return MPeg(ground, (frozenset(fs(p) for p in ground),
+                                 frozenset({fs("1", "2"), fs("3", "4")}),
+                                 frozenset({frozenset(ground)})))
+        assert len(lattice_of_mpeg(mpeg(60)).lattice) == 64
+        with pytest.raises(TooLarge):
+            lattice_of_mpeg(mpeg(61))
 
     def test_not_atomic_rejected(self):
         lat = lattice_from_covers(

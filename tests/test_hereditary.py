@@ -6,6 +6,7 @@ import random
 import pytest
 
 from boolrep.errors import (
+    BoolrepError,
     EmptyFamily,
     GroundMismatch,
     NotDownwardClosed,
@@ -37,11 +38,28 @@ from boolrep.hereditary import (
 )
 from boolrep.lattice import matrix_of
 from boolrep.sbcore import columns_independent
-from conftest import all_simple_hcs, fs, random_hc, random_simple_hc
+from conftest import all_hcs, all_simple_hcs, fs, random_hc, random_simple_hc
 
 
 def triples(*ts):
     return [frozenset(t) for t in ts]
+
+
+def full_sweep_fails(r, n):
+    """The 4^|E| submodularity sweep over a mask-indexed rank table."""
+    return any(r[x] + r[y] < r[x | y] + r[x & y]
+               for x in range(1 << n) for y in range(1 << n))
+
+
+def paving_clauses(hc):
+    """No circuit below the rank; every set below the rank independent;
+    every set below rank - 1 a flat."""
+    r = hc.rank
+    small = [frozenset(c)
+             for s in range(r) for c in itertools.combinations(hc.ground, s)]
+    return [all(len(c) >= r for c in hc.circuits()),
+            all(s in hc.independents for s in small),
+            all(s in hc.flats() for s in small if len(s) < r - 1)]
 
 
 class TestConstruction:
@@ -264,6 +282,49 @@ class TestRank:
         rank_function(uniform(2, 4), check_submodular=True)
         rank_function(example_bigex(), check_submodular=True)
 
+    def test_table_axioms_random(self):
+        # what downward closure guarantees of the DP, recomputed by definition
+        rng = random.Random(20121031)
+        matroids = set()
+        for _ in range(60):
+            hc = random_hc(rng, rng.randint(4, 6))
+            n, hm = len(hc.ground), hc.h_masks
+            r = rank_function(hc).table
+            for m in range(1 << n):
+                assert all(r[m] <= r[m | (1 << i)] for i in range(n))  # monotone
+                assert (r[m] == m.bit_count()) == (m in hm)  # full rank: independent
+                assert any(s & m == s and s.bit_count() == r[m] for s in hm)  # reached
+            matroid = hc.is_matroid()
+            matroids.add(matroid)
+            if matroid:
+                assert not full_sweep_fails(r, n)
+        assert matroids == {True, False}
+
+    def test_local_submodularity_matches_full_sweep(self):
+        # the explicit local check raises exactly when the 4^|E| sweep fails,
+        # and that happens exactly on non-matroids: every collection on four
+        # points, then random ones on five and six
+        rng = random.Random(20121101)
+        randoms = (random_hc(rng, rng.randint(5, 6)) for _ in range(40))
+        outcomes = set()
+        for hc in itertools.chain(all_hcs(4), randoms):
+            fails = full_sweep_fails(rank_function(hc).table, len(hc.ground))
+            if fails:
+                with pytest.raises(BoolrepError, match="submodularity"):
+                    rank_function(hc, check_submodular=True)
+            else:
+                assert rank_function(hc, check_submodular=True).rank == hc.rank
+            assert fails == (not hc.is_matroid())
+            outcomes.add(fails)
+        assert outcomes == {True, False}
+
+    def test_default_runs_no_matroid_test(self, monkeypatch):
+        def never(self):
+            raise AssertionError("rank_function ran the matroid test")
+
+        monkeypatch.setattr(HereditaryCollection, "is_matroid", never)
+        assert rank_function(uniform(3, 8)).rank == 3
+
     def test_rank_is_longest_closure_chain(self):
         # on representable simple collections the rank of X is the largest
         # size of a subset of X with a strictly decreasing closure chain
@@ -390,7 +451,8 @@ class TestPaving:
             is_paving(uniform(2, 4))
 
     def test_clause_agreement_random(self):
-        # is_paving asserts internally that the three clauses agree
+        # the three paving clauses agree with is_paving: simple rank-3
+        # collections (all paving), then non-simple ones of rank 3 and 4
         rng = random.Random(91)
         seen = 0
         while seen < 50:
@@ -398,7 +460,18 @@ class TestPaving:
             if hc.rank != 3:
                 continue
             seen += 1
-            is_paving(hc)
+            assert paving_clauses(hc) == [is_paving(hc)] * 3
+        outcomes = set()
+        seen = 0
+        while seen < 80:
+            hc = random_hc(rng, rng.randint(4, 6))
+            if hc.rank not in (3, 4):
+                continue
+            seen += 1
+            paving = is_paving(hc)
+            assert paving_clauses(hc) == [paving] * 3
+            outcomes.add(paving)
+        assert outcomes == {True, False}
 
     def test_paving_representable_agrees(self):
         rng = random.Random(92)

@@ -13,6 +13,7 @@ from boolrep.errors import (
     ZeroColumn,
 )
 from boolrep.lattice import (
+    FiniteLattice,
     FlatFamily,
     VGenLattice,
     c_independence_chain,
@@ -87,6 +88,22 @@ class TestConstruction:
         l = lattice_from_covers(["B", "a", "T"],
                                 [("B", "a"), ("a", "T"), ("B", "T")])
         assert sorted(l.cover_pairs()) == [("B", "a"), ("a", "T")]
+
+
+    def test_from_family_covers_are_inclusion_covers(self):
+        # from_family passes every strict inclusion; the covers kept are the
+        # pairs a < b with no member strictly between them
+        rng = random.Random(17)
+        for _ in range(30):
+            members = {frozenset(range(5))}
+            for _ in range(6):
+                new = frozenset(x for x in range(5) if rng.random() < 0.5)
+                members |= {new} | {new & m for m in members}
+            lat, labels = FiniteLattice.from_family(
+                members, lambda s: "".join(map(str, sorted(s))) or "o")
+            assert lat.cover_pairs() == sorted(
+                (labels[a], labels[b]) for a in members for b in members
+                if a < b and not any(a < c < b for c in members))
 
 
 class TestHeightAndIrreducibles:
