@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import geometry, hereditary, lattice, maps, reps, sbcore
-from .errors import BoolrepError, FormatError
+from .errors import BoolrepError, FormatError, TooLarge
 
 DEFAULT_MAX_GROUND = 12
 
@@ -79,6 +79,11 @@ def cmd_generate(args) -> int:
     if name == "uniform":
         if args.a is None or args.b is None:
             raise FormatError("uniform needs --a and --b")
+        if args.a < 0 or args.b < 0:
+            raise FormatError("uniform needs --a and --b >= 0")
+        cap = _max_ground()
+        if args.b > cap:
+            raise TooLarge(f"|E| = {args.b} exceeds the cap {cap}")
         hc = hereditary.uniform(args.a, args.b)
     elif name == "fano":
         hc = hereditary.fano()

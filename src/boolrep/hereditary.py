@@ -27,8 +27,8 @@ from .errors import (
     RankTooSmall,
     TooLarge,
 )
-from .lattice import FlatFamily, VGenLattice, family_matrix, labels_to_mask, \
-    lattice_of_family, mask_to_labels
+from .lattice import FlatFamily, VGenLattice, closure_op, family_matrix, \
+    labels_to_mask, lattice_of_family, mask_to_labels
 from .sbcore import BoolMatrix
 
 
@@ -36,28 +36,6 @@ def _all_subsets(items: Sequence) -> Iterable[frozenset]:
     for r in range(len(items) + 1):
         for c in itertools.combinations(items, r):
             yield frozenset(c)
-
-
-def closure_op(members: Sequence[int], full: int) -> Callable[[int], int]:
-    """Closure in an intersection-closed family of masks, memoized.
-
-    The returned operator maps a mask s to the meet of the members that
-    contain s, or to `full` when none does.
-    """
-    members = tuple(members)
-    cache: dict[int, int] = {}
-
-    def cl(s: int) -> int:
-        v = cache.get(s)
-        if v is None:
-            v = full
-            for z in members:
-                if z & s == s:
-                    v &= z
-            cache[s] = v
-        return v
-
-    return cl
 
 
 def permuted(mask: int, perm: Sequence[int]) -> int:
@@ -183,13 +161,13 @@ class HereditaryCollection:
     @cached_property
     def _flat_masks(self) -> tuple[int, ...]:
         hm = self.h_masks
-        n = len(self.ground)
+        full = self.full_mask
         out = []
-        for x in range(1 << n):
+        for x in range(full + 1):
             ok = True
             for s in hm:
                 if s & x == s:
-                    rest = self.full_mask & ~x
+                    rest = full & ~x
                     r = rest
                     while r:
                         low = r & (-r)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BottomElement,
@@ -36,18 +36,59 @@ def _bits(x: int):
         x ^= low
 
 
-class FiniteLattice:
-    """A finite lattice stored by cover relation plus materialized tables."""
+def closure_op(members: Sequence[int], full: int) -> Callable[[int], int]:
+    """Closure in an intersection-closed family of masks, memoized.
 
-    def __init__(self, labels, down, covers_up, join_t, meet_t, bottom_i, top_i):
-        self.labels: tuple[str, ...] = labels
+    The returned operator maps a mask s to the meet of the members that
+    contain s, or to `full` when none does.
+    """
+    members = tuple(members)
+    cache: dict[int, int] = {}
+
+    def cl(s: int) -> int:
+        v = cache.get(s)
+        if v is None:
+            v = full
+            for z in members:
+                if z & s == s:
+                    v &= z
+            cache[s] = v
+        return v
+
+    return cl
+
+
+class FiniteLattice:
+    """A finite lattice stored as its principal down-sets.
+
+    down[i] is the bitmask of the elements j <= i.  These masks form an
+    intersection-closed family ordered by inclusion: the meet of i and j is
+    the element whose down-set is down[i] & down[j], and their join is the
+    closure of down[i] | down[j], the smallest down-set containing it.
+    """
+
+    def __init__(self, labels: tuple[str, ...], down: tuple[int, ...]) -> None:
+        """Validate: a top exists and every pair of down-sets meets in one."""
+        n = len(labels)
+        if n == 0:
+            raise NotALattice("empty element set")
+        self.labels = labels
         self._index = {l: i for i, l in enumerate(labels)}
-        self.down: tuple[int, ...] = down          # down[i]: bitmask of j <= i
-        self.covers_up: tuple[int, ...] = covers_up  # covers_up[i]: j covering i
-        self._join = join_t
-        self._meet = meet_t
-        self.bottom_i = bottom_i
-        self.top_i = top_i
+        self.down = down
+        self._by_down = {d: i for i, d in enumerate(down)}
+        full = (1 << n) - 1
+        if full not in self._by_down:
+            below = 0
+            for i, d in enumerate(down):
+                below |= d ^ (1 << i)
+            a, b = itertools.islice(_bits(full & ~below), 2)
+            raise NotALattice((labels[a], labels[b]))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if down[i] & down[j] not in self._by_down:
+                    raise NotALattice((labels[i], labels[j]))
+        self.top_i = self._by_down[full]
+        self.bottom_i = self._by_down[self._closure(0)]
 
     # -- construction ----------------------------------------------------------
 
@@ -60,16 +101,14 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build and validate from labels and (lower, upper) order generators.
 
-        Rejects cyclic inputs and posets where some pair lacks a unique join
-        or meet (the offending pair is reported), and, with max_size, more
-        than max_size elements.
+        Rejects cyclic inputs and posets that are not lattices (a pair without
+        a meet, or two maximal elements, is reported), and, with max_size,
+        more than max_size elements.
         """
         labels = tuple(elements)
         if len(set(labels)) != len(labels):
             raise FormatError("duplicate element labels")
         n = len(labels)
-        if n == 0:
-            raise NotALattice("empty element set")
         check_lattice_cap(n, max_size)
         index = {l: i for i, l in enumerate(labels)}
         succs: list[set[int]] = [set() for _ in range(n)]
@@ -101,61 +140,7 @@ class FiniteLattice:
         for a in topo:
             for b in succs[a]:
                 down[b] |= down[a]
-        up = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if (down[j] >> i) & 1:
-                    up[i] |= 1 << j
-
-        join_t = [[0] * n for _ in range(n)]
-        meet_t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                u = up[i] & up[j]
-                m = cls._unique_extreme(u, down)
-                if m < 0:
-                    raise NotALattice((labels[i], labels[j]))
-                join_t[i][j] = join_t[j][i] = m
-                d = down[i] & down[j]
-                m = cls._unique_extreme(d, up)
-                if m < 0:
-                    raise NotALattice((labels[i], labels[j]))
-                meet_t[i][j] = meet_t[j][i] = m
-
-        bottom_i = 0
-        top_i = 0
-        for i in range(n):
-            bottom_i = meet_t[bottom_i][i]
-            top_i = join_t[top_i][i]
-
-        covers_up = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i != j and (down[j] >> i) & 1:
-                    between = down[j] & up[i] & ~(1 << i) & ~(1 << j)
-                    if between == 0:
-                        covers_up[i] |= 1 << j
-
-        return cls(labels, tuple(down), tuple(covers_up),
-                   tuple(tuple(r) for r in join_t), tuple(tuple(r) for r in meet_t),
-                   bottom_i, top_i)
-
-    @staticmethod
-    def _unique_extreme(candidates: int, order_masks) -> int:
-        """Index of the unique extreme element of the candidate set, or -1.
-
-        With down masks this finds the unique minimal candidate (joins);
-        with up masks the unique maximal one (meets).
-        """
-        if candidates == 0:
-            return -1
-        found = -1
-        for i in _bits(candidates):
-            if (order_masks[i] & candidates) == (1 << i):
-                if found >= 0:
-                    return -1
-                found = i
-        return found
+        return cls(labels, tuple(down))
 
     @classmethod
     def from_family(cls, members: Iterable[frozenset], labeler
@@ -163,14 +148,13 @@ class FiniteLattice:
         """Lattice of a set family ordered by inclusion (meets must exist).
 
         Returns the lattice plus the member -> label map.  Members are sorted
-        by (size, sorted contents) so construction is deterministic; every
-        strict inclusion is passed on, and from_covers reduces them to covers.
+        by (size, sorted contents) so construction is deterministic; the
+        down-set of each member is the set of members it includes.
         """
         ms = sorted(set(members), key=lambda s: (len(s), tuple(sorted(s))))
         labels = {s: labeler(s) for s in ms}
-        pairs = [(labels[a], labels[b])
-                 for a, b in itertools.permutations(ms, 2) if a < b]
-        return cls.from_covers([labels[s] for s in ms], pairs), labels
+        down = tuple(sum(1 << i for i, a in enumerate(ms) if a <= b) for b in ms)
+        return cls(tuple(labels[s] for s in ms), down), labels
 
     # -- queries ---------------------------------------------------------------
 
@@ -195,45 +179,55 @@ class FiniteLattice:
     def leq(self, a: str, b: str) -> bool:
         return bool((self.down[self._index[b]] >> self._index[a]) & 1)
 
+    @cached_property
+    def _closure(self) -> Callable[[int], int]:
+        return closure_op(self.down, (1 << len(self.labels)) - 1)
+
     def join(self, a: str, b: str) -> str:
-        return self.labels[self._join[self._index[a]][self._index[b]]]
+        return self.join_of((a, b))
 
     def meet(self, a: str, b: str) -> str:
-        return self.labels[self._meet[self._index[a]][self._index[b]]]
+        return self.labels[self._by_down[self.down[self._index[a]]
+                                         & self.down[self._index[b]]]]
 
     def join_of(self, xs: Iterable[str]) -> str:
-        i = self.bottom_i
+        s = 0
         for x in xs:
-            i = self._join[i][self._index[x]]
-        return self.labels[i]
+            s |= self.down[self._index[x]]
+        return self.labels[self._by_down[self._closure(s)]]
+
+    @cached_property
+    def _lower_covers(self) -> tuple[int, ...]:
+        """_lower_covers[j]: bitmask of the maximal elements strictly below j."""
+        out = []
+        for j, d in enumerate(self.down):
+            strict = d ^ (1 << j)
+            inner = 0
+            for k in _bits(strict):
+                inner |= self.down[k] ^ (1 << k)
+            out.append(strict & ~inner)
+        return tuple(out)
 
     def lower_covers(self, x: str) -> frozenset[str]:
-        i = self._index[x]
-        return frozenset(self.labels[j] for j in range(len(self.labels))
-                         if (self.covers_up[j] >> i) & 1)
+        return frozenset(self.labels[i] for i in _bits(self._lower_covers[self._index[x]]))
 
     def upper_covers(self, x: str) -> frozenset[str]:
-        return frozenset(self.labels[j] for j in _bits(self.covers_up[self._index[x]]))
+        i = self._index[x]
+        return frozenset(self.labels[j] for j, m in enumerate(self._lower_covers)
+                         if (m >> i) & 1)
 
     def cover_pairs(self) -> list[tuple[str, str]]:
-        out = []
-        for i, m in enumerate(self.covers_up):
-            for j in _bits(m):
-                out.append((self.labels[i], self.labels[j]))
-        return sorted(out)
+        return sorted((self.labels[i], self.labels[j])
+                      for j, m in enumerate(self._lower_covers) for i in _bits(m))
 
     def atoms(self) -> frozenset[str]:
         return self.upper_covers(self.bottom)
 
     @cached_property
     def _heights(self) -> tuple[int, ...]:
-        n = len(self.labels)
-        order = sorted(range(n), key=lambda i: self.down[i].bit_count())
-        h = [0] * n
-        for j in order:
-            for i in range(n):
-                if i != j and (self.down[j] >> i) & 1:
-                    h[j] = max(h[j], h[i] + 1)
+        h = [0] * len(self.labels)
+        for j in sorted(range(len(h)), key=lambda i: self.down[i].bit_count()):
+            h[j] = max((h[i] + 1 for i in _bits(self._lower_covers[j])), default=0)
         return tuple(h)
 
     def height_of(self, x: str) -> int:
@@ -401,11 +395,11 @@ class FlatFamily:
             s = labels_to_mask(xs, self._index)
         except KeyError:
             return frozenset(self.ground)  # no member holds a label outside E
-        out = (1 << len(self.ground)) - 1
-        for m in self.masks:
-            if s & m == s:
-                out &= m
-        return mask_to_labels(out, self.ground)
+        return mask_to_labels(self._closure(s), self.ground)
+
+    @cached_property
+    def _closure(self) -> Callable[[int], int]:
+        return closure_op(self.masks, (1 << len(self.ground)) - 1)
 
     def sorted_masks(self) -> list[int]:
         """Members by size, then by their points' ground positions."""
@@ -478,13 +472,8 @@ def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]
     members = {full}  # the meets of every subset of zsets
     for z in zsets:
         members |= {z & w for w in members}
-    y = {}
-    for j, c in enumerate(ground):
-        inter = full
-        for z in zsets:
-            if (z >> j) & 1:
-                inter &= z
-        y[c] = mask_to_labels(inter, ground)
+    cl = closure_op(zsets, full)
+    y = {c: mask_to_labels(cl(1 << j), ground) for j, c in enumerate(ground)}
     return FlatFamily.from_masks(ground, frozenset(members)), y
 
 

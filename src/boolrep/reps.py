@@ -29,13 +29,13 @@ from .errors import (
 from .hereditary import (
     HereditaryCollection,
     _chain_admissible,
-    closure_op,
     is_boolean_representable,
     permuted,
 )
 from .lattice import (
     FlatFamily,
     VGenLattice,
+    closure_op,
     family_matrix,
     flat_label,
     lattice_of_family,

@@ -271,6 +271,36 @@ class TestErrorsAndCodes:
         assert code == 1
         assert json.loads(out)["error"] == "TooLarge"
 
+    def test_generate_uniform_over_cap_before_build(self, capsys, monkeypatch):
+        # uniform(6, 30) would enumerate every <= 6-subset of 30 points
+        from boolrep import hereditary
+
+        def never(a, b):
+            raise AssertionError("uniform was built past the ground cap")
+
+        monkeypatch.setattr(hereditary, "uniform", never)
+        monkeypatch.setenv("BOOLREP_MAX_GROUND", "12")
+        code, out = run_main(capsys, ["generate", "uniform", "--a", "6", "--b", "30"])
+        assert code == 1
+        assert json.loads(out)["error"] == "TooLarge"
+        code, out = run_main(capsys, ["generate", "uniform", "--a", "6", "--b", "13"])
+        assert json.loads(out)["error"] == "TooLarge"
+
+    @pytest.mark.parametrize("a,b", [("3", "-2"), ("-1", "4"), ("-1", "-1")])
+    def test_generate_uniform_negative_is_1(self, capsys, a, b):
+        code, out = run_main(capsys, ["generate", "uniform", "--a", a, "--b", b])
+        assert code == 1
+        assert json.loads(out)["error"] == "FormatError"
+
+    def test_generate_uniform_at_bounds(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOOLREP_MAX_GROUND", "4")
+        code, out = run_main(capsys, ["generate", "uniform", "--a", "0", "--b", "4"])
+        assert code == 0
+        assert json.loads(out)["ground"] == ["1", "2", "3", "4"]
+        code, out = run_main(capsys, ["generate", "uniform", "--a", "2", "--b", "0"])
+        assert code == 0
+        assert json.loads(out)["ground"] == []
+
     def test_facet_outside_ground_before_expansion(self, capsys, monkeypatch):
         # a 40-label facet outside a 2-point ground would expand 2^40 subsets
         from boolrep import hereditary

@@ -32,7 +32,7 @@ from boolrep.lattice import (
     vgen_isomorphic,
 )
 from boolrep.sbcore import BoolMatrix, columns_independent, matrix_rank
-from conftest import all_lattices, fs, lattices_up_to, random_vgen
+from conftest import all_lattice_masks, all_lattices, fs, lattices_up_to, random_vgen
 
 
 def chain3():
@@ -90,8 +90,31 @@ class TestConstruction:
         assert sorted(l.cover_pairs()) == [("B", "a"), ("a", "T")]
 
 
+    def test_from_covers_matches_pairwise_scan(self):
+        accepted = rejected = 0
+        for labels, pairs in oracle_inputs():
+            expect = brute_lattice(labels, pairs)
+            try:
+                lat = lattice_from_covers(labels, pairs)
+            except NotALattice as e:
+                assert expect is None, (labels, pairs)
+                a, b = e.args[0]
+                assert {a, b} <= set(labels)
+                rejected += 1
+                continue
+            assert expect is not None, (labels, pairs)
+            join, meet, bottom, top, covers = expect
+            assert (lat.bottom, lat.top) == (bottom, top)
+            assert lat.cover_pairs() == covers
+            for a in labels:
+                for b in labels:
+                    assert lat.join(a, b) == join[a, b]
+                    assert lat.meet(a, b) == meet[a, b]
+            accepted += 1
+        assert accepted > 0 and rejected > 0
+
     def test_from_family_covers_are_inclusion_covers(self):
-        # from_family passes every strict inclusion; the covers kept are the
+        # from_family orders the members by inclusion; the covers are the
         # pairs a < b with no member strictly between them
         rng = random.Random(17)
         for _ in range(30):
@@ -104,6 +127,64 @@ class TestConstruction:
             assert lat.cover_pairs() == sorted(
                 (labels[a], labels[b]) for a in members for b in members
                 if a < b and not any(a < c < b for c in members))
+
+
+def brute_lattice(elements, pairs):
+    """Order, join and meet by the pairwise scan, or None for a non-lattice.
+
+    The order is the reflexive-transitive closure of the pairs; the join of
+    a and b is the unique minimal common upper bound, the meet the unique
+    maximal common lower bound.  Returns (join, meet, bottom, top, covers).
+    """
+    le = {(a, b) for a in elements for b in elements if a == b} | set(pairs)
+    for k in elements:
+        le |= {(a, b) for a, m in le if m == k for n, b in le if n == k}
+
+    def unique_extreme(cands, below):
+        ext = [c for c in cands if not any(d != c and below(d, c) for d in cands)]
+        return ext[0] if len(ext) == 1 else None
+
+    join, meet = {}, {}
+    for a in elements:
+        for b in elements:
+            up = [c for c in elements if (a, c) in le and (b, c) in le]
+            lo = [c for c in elements if (c, a) in le and (c, b) in le]
+            join[a, b] = unique_extreme(up, lambda x, y: (x, y) in le)
+            meet[a, b] = unique_extreme(lo, lambda x, y: (y, x) in le)
+            if join[a, b] is None or meet[a, b] is None:
+                return None
+    bottom = top = elements[0]
+    for x in elements:
+        bottom, top = meet[bottom, x], join[top, x]
+    covers = sorted((a, b) for a, b in le if a != b and not any(
+        c not in (a, b) and (a, c) in le and (c, b) in le for c in elements))
+    return join, meet, bottom, top, covers
+
+
+def _bits(x):
+    return [i for i in range(x.bit_length()) if (x >> i) & 1]
+
+
+def oracle_inputs():
+    """Every lattice on at most 6 elements, then seeded random DAGs on at most
+    7 (most are not lattices), with shuffled element orders."""
+    rng = random.Random(4242)
+    for n in range(1, 7):
+        for downs in all_lattice_masks(n):
+            labels = [f"x{i}" for i in range(n)]
+            pairs = [(labels[i], labels[j]) for j in range(n) for i in _bits(downs[j])
+                     if i != j]
+            rng.shuffle(labels)
+            yield labels, pairs
+    yield ["B", "a", "b"], [("B", "a"), ("B", "b")]  # every meet, no top
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        labels = [f"y{i}" for i in range(n)]  # edges go up in index: acyclic
+        p = rng.choice((0.25, 0.4, 0.6))
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        rng.shuffle(labels)
+        yield labels, pairs
 
 
 class TestHeightAndIrreducibles:

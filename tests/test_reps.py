@@ -4,6 +4,7 @@ import ast
 import itertools
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -519,7 +520,7 @@ class TestChildTestOracle:
                     continue
                 child = fam - {z}
                 ok = hereditary._chain_admissible(
-                    hc._h_sorted, hereditary.closure_op(sorted(child), full)) is None
+                    hc._h_sorted, lattice.closure_op(sorted(child), full)) is None
                 assert (child in walk.members) == ok
                 outcomes.add(ok)
         assert outcomes == {True, False}
@@ -649,6 +650,26 @@ class TestNoAssertValidation:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+
+class TestStdlibOnly:
+    def test_absolute_imports_are_stdlib(self):
+        # the engine stays stdlib-only: every absolute import names a
+        # top-level module of the standard library
+        src = pathlib.Path(boolrep.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [(path.name, n) for n in names]
+        assert found, "no absolute imports found"
+        assert [(f, n) for f, n in found
+                if n.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 class TestRowmin:
