@@ -44,10 +44,10 @@ def _load_hc(path: Optional[str]) -> hereditary.HereditaryCollection:
     return hereditary.hc_from_json(_read_input(path), max_ground=_max_ground())
 
 
-def _subsets_sorted(hc, sets) -> list[list[str]]:
-    order = {g: i for i, g in enumerate(hc.ground)}
-    return sorted((sorted(s, key=order.__getitem__) for s in sets),
-                  key=lambda s: (len(s), [order[x] for x in s]))
+def _subsets_sorted(hc, masks) -> list[list[str]]:
+    """Each mask's labels in ground order; by size, then ground positions."""
+    return [lattice.mask_to_list(m, hc.ground)
+            for m in sorted(masks, key=lattice.mask_order)]
 
 
 def _emit(args, payload: dict, table_lines=None) -> None:
@@ -106,7 +106,7 @@ def cmd_generate(args) -> int:
 def cmd_flats(args) -> int:
     hc = _load_hc(args.input)
     fam = hc.flats()
-    flats = _subsets_sorted(hc, fam.members)
+    flats = _subsets_sorted(hc, fam.masks)
     payload = {"ground": list(hc.ground), "count": len(flats), "flats": flats}
     if getattr(args, "dot", None):
         vg = hereditary.flat_lattice(hc)
@@ -118,7 +118,7 @@ def cmd_flats(args) -> int:
 
 def cmd_circuits(args) -> int:
     hc = _load_hc(args.input)
-    circ = _subsets_sorted(hc, hc.circuits())
+    circ = _subsets_sorted(hc, hc._circuit_masks)
     _emit(args, {"count": len(circ), "circuits": circ},
           ["circuits (%d):" % len(circ)] +
           ["  {" + ",".join(c) + "}" for c in circ])
@@ -129,7 +129,7 @@ def cmd_rank(args) -> int:
     hc = _load_hc(args.input)
     rf = hereditary.rank_function(hc)
     payload = {"rank": rf.rank,
-               "hyperplanes": _subsets_sorted(hc, hereditary.hyperplanes(hc))}
+               "hyperplanes": _subsets_sorted(hc, hereditary._hyperplane_masks(hc))}
     _emit(args, payload, [f"rank: {rf.rank}"])
     return 0
 
@@ -172,7 +172,7 @@ def _rep_report(args, which: str) -> int:
     for f in chosen:
         rec = recs[f]
         families.append({
-            "family": _subsets_sorted(hc, map(hc.set_of, rec.family.masks)),
+            "family": _subsets_sorted(hc, rec.family.masks),
             "in_im_theta": True,
             "minimal": f in minset,
             "sji": True,
@@ -385,26 +385,26 @@ def _reproduce_truno(args, checks: list) -> None:
     _check(checks, "3-truncation representable", False,
            hereditary.is_boolean_representable(t3))
     _check(checks, "3-truncation equals the union example", True,
-           t3.independents == u.independents)
+           t3.h_masks == u.h_masks)
 
 
 def _reproduce_fourpoints(args, checks: list) -> None:
     ground = tuple(str(i) for i in range(1, 5))
-    triples = [frozenset(c) for c in itertools.combinations(ground, 3)]
-    base = [frozenset(c) for r in range(3) for c in itertools.combinations(ground, r)]
+    triples = [m for m in range(16) if m.bit_count() == 3]
+    base = [m for m in range(16) if m.bit_count() < 3]
     cases = []
     for r in range(5):
         for chosen in itertools.combinations(triples, r):
             h = base + list(chosen)
             if len(chosen) == 4:
-                cases.append(h + [frozenset(ground)])
+                cases.append(h + [15])  # and the full set
             cases.append(h)
     ok = True
     n = 0
-    for sets in cases:
-        hc = hereditary.HereditaryCollection(ground, frozenset(sets))
+    for masks in cases:
+        hc = hereditary.HereditaryCollection.from_masks(ground, masks)
         n += 1
-        triple_count = sum(1 for s in hc.independents if len(s) == 3)
+        triple_count = sum(1 for m in hc.h_masks if m.bit_count() == 3)
         m, pr, rep = hc.is_matroid(), hc.satisfies_pr(), \
             hereditary.is_boolean_representable(hc)
         if triple_count in (0, 3, 4):

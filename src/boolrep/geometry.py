@@ -23,7 +23,8 @@ from .errors import (
     WrongSize,
 )
 from .hereditary import HereditaryCollection, _json_label_sets, _json_labels
-from .lattice import FiniteLattice, VGenLattice, check_lattice_cap, flat_label
+from .lattice import FiniteLattice, VGenLattice, check_lattice_cap, flat_label, \
+    labels_to_mask
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,10 @@ def mat_of_lattice(lat: FiniteLattice) -> HereditaryCollection:
     if lat.height() != 3:
         raise WrongHeight(f"needs height 3, got {lat.height()}")
     ground = tuple(x for x in lat.labels if x != lat.bottom)
-    h = []
-    for r in range(3):
-        h.extend(itertools.combinations(ground, r))
-    for c in itertools.combinations(ground, 3):
-        if lat.join_of(c) == lat.top:
-            h.append(c)
-    return HereditaryCollection.from_independents(ground, h)
+    return HereditaryCollection.from_masks(ground, (
+        sum(1 << i for i in c) for r in range(4)
+        for c in itertools.combinations(range(len(ground)), r)
+        if r < 3 or lat.join_of(ground[i] for i in c) == lat.top))
 
 
 def potential_lines(lat: FiniteLattice) -> frozenset[frozenset[str]]:
@@ -238,8 +236,10 @@ def lattice_of_mpeg(g: MPeg) -> VGenLattice:
     rep = validate_mpeg(g)
     if not rep.ok:
         raise BadMpeg(rep.violations[:1])
-    lat, labels = FiniteLattice.from_family(members, lambda s: flat_label(s, g.ground))
-    gens = tuple(labels[frozenset((a,))] for a in g.ground)
+    gidx = {p: i for i, p in enumerate(g.ground)}  # validated: members lie in E
+    lat, labels = FiniteLattice.from_family(
+        g.ground, (labels_to_mask(p, gidx) for p in members))
+    gens = tuple(labels[1 << i] for i in range(len(g.ground)))
     return VGenLattice(lat, gens)
 
 

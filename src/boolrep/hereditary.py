@@ -7,6 +7,10 @@ they are closed under intersection and induce a closure operator.  A simple
 collection (all 1- and 2-subsets independent) is boolean representable
 exactly when every independent set admits an ordering whose successive
 closures strictly decrease.
+
+H is stored once, as int masks over the ground order (bit i is ground[i]).
+Every query reads those masks; label sets are made only where a result is
+returned or printed, and `independents` is such a view.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BoolrepError,
@@ -27,15 +32,9 @@ from .errors import (
     RankTooSmall,
     TooLarge,
 )
-from .lattice import FlatFamily, VGenLattice, closure_op, family_matrix, \
-    labels_to_mask, lattice_of_family, mask_to_labels
+from .lattice import FlatFamily, VGenLattice, _bits, closure_op, family_matrix, \
+    labels_to_mask, lattice_of_family, mask_order, mask_to_labels, mask_to_list
 from .sbcore import BoolMatrix
-
-
-def _all_subsets(items: Sequence) -> Iterable[frozenset]:
-    for r in range(len(items) + 1):
-        for c in itertools.combinations(items, r):
-            yield frozenset(c)
 
 
 def permuted(mask: int, perm: Sequence[int]) -> int:
@@ -47,47 +46,84 @@ def permuted(mask: int, perm: Sequence[int]) -> int:
     return t
 
 
-@dataclass(frozen=True)
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+def _label_masks(sets: Iterable[Iterable[str]], ground: tuple[str, ...], what: str
+                 ) -> Iterator[int]:
+    """The mask of each label set; a label outside the ground is a FormatError."""
+    gidx = {g: i for i, g in enumerate(ground)}
+    for s in sets:
+        try:
+            yield labels_to_mask(s, gidx)
+        except KeyError:
+            raise FormatError(f"{what} {sorted(set(s))} outside ground") from None
+
+
+@dataclass(frozen=True, init=False)
 class HereditaryCollection:
-    """Ground set plus the downward-closed family of independent sets."""
+    """Ground set plus the downward-closed family H of independent sets.
+
+    H is stored as `h_masks`, masks over `ground` (bit i is ground[i]); the
+    label sets in `independents` are made on first use.
+    """
 
     ground: tuple[str, ...]
-    independents: frozenset[frozenset[str]]
+    h_masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if len(set(self.ground)) != len(self.ground):
+    def __init__(self, ground: Sequence[str], independents: Iterable[Iterable[str]]
+                 ) -> None:
+        ground = tuple(ground)
+        self._store(ground, _label_masks(independents, ground, "independent set"))
+
+    def _store(self, ground: tuple[str, ...], masks: Iterable[int]) -> None:
+        """Check the ground's labels are distinct and H is nonempty and
+        downward closed, then set the two fields."""
+        if len(set(ground)) != len(ground):
             raise FormatError("duplicate ground labels")
-        if not self.independents:
+        hm = frozenset(masks)
+        if not hm:
             raise EmptyFamily("a hereditary collection needs at least one set")
-        g = frozenset(self.ground)
-        for s in self.independents:
-            if not s <= g:
-                raise FormatError(f"independent set {sorted(s)} outside ground")
-            for x in s:
-                smaller = s - {x}
-                if smaller not in self.independents:
-                    raise NotDownwardClosed((sorted(s), sorted(smaller)))
+        full = (1 << len(ground)) - 1
+        for s in hm:
+            if s & ~full:
+                raise FormatError(f"mask {s} outside ground")
+            for x in _bits(s):
+                if s ^ (1 << x) not in hm:
+                    raise NotDownwardClosed((sorted(mask_to_labels(s, ground)),
+                                             sorted(mask_to_labels(s ^ (1 << x), ground))))
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "h_masks", hm)
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
+    def from_masks(cls, ground: Sequence[str], masks: Iterable[int]
+                   ) -> "HereditaryCollection":
+        """The collection whose independent sets are the given masks, validated."""
+        obj = object.__new__(cls)
+        obj._store(tuple(ground), masks)
+        return obj
+
+    @classmethod
     def from_independents(cls, ground: Sequence[str], sets: Iterable[Iterable[str]]):
-        return cls(tuple(ground), frozenset(frozenset(s) for s in sets))
+        return cls(ground, sets)
 
     @classmethod
     def from_facets(cls, ground: Sequence[str], facets: Iterable[Iterable[str]]):
         """Downward closure of the given maximal sets."""
-        fac = [frozenset(f) for f in facets]
+        ground = tuple(ground)
+        # each facet is a mask, so inside E, before any is expanded into subsets
+        fac = list(_label_masks(facets, ground, "facet"))
         if not fac:
             raise EmptyFamily("no facets given")
-        g = frozenset(ground)
-        for f in fac:  # before any facet is expanded into its 2^|f| subsets
-            if not f <= g:
-                raise FormatError(f"facet {sorted(f)} outside ground")
-        h: set[frozenset] = set()
-        for f in fac:
-            h.update(_all_subsets(sorted(f)))
-        return cls(tuple(ground), frozenset(h))
+        return cls.from_masks(ground, {s for f in fac for s in _submasks(f)})
 
     # -- bitmask internals --------------------------------------------------------
 
@@ -102,39 +138,53 @@ class HereditaryCollection:
         return mask_to_labels(mask, self.ground)
 
     @cached_property
-    def h_masks(self) -> frozenset[int]:
-        return frozenset(self.mask_of(s) for s in self.independents)
+    def independents(self) -> frozenset[frozenset[str]]:
+        """H as label sets (a view of `h_masks`)."""
+        return frozenset(map(self.set_of, self.h_masks))
 
     @cached_property
     def _h_sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.h_masks, key=lambda m: (m.bit_count(), m)))
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.ground)) - 1
 
     # -- basic structure ----------------------------------------------------------
 
     @cached_property
+    def _extensions(self) -> dict[int, int]:
+        """ext[J], for each J in H: the points p outside J with J + p in H."""
+        ext = dict.fromkeys(self.h_masks, 0)
+        for s in self.h_masks:
+            r = s
+            while r:
+                low = r & -r
+                ext[s ^ low] |= low
+                r ^= low
+        return ext
+
+    @cached_property
+    def _facet_masks(self) -> tuple[int, ...]:
+        """Members of H with no one-point extension in H (the maximal ones)."""
+        return tuple(s for s, e in self._extensions.items() if not e)
+
+    @cached_property
     def facets(self) -> frozenset[frozenset[str]]:
         """Maximal independent sets (the bases)."""
-        return frozenset(
-            s for s in self.independents
-            if not any(s < t for t in self.independents)
-        )
+        return frozenset(map(self.set_of, self._facet_masks))
 
     @cached_property
     def rank(self) -> int:
-        return max(len(s) for s in self.independents)
+        return max(m.bit_count() for m in self.h_masks)
 
     def is_simple(self) -> bool:
         return self._simple
 
     @cached_property
     def _simple(self) -> bool:
-        e = list(self.ground)
-        return all(frozenset(c) in self.independents
-                   for r in (1, 2) for c in itertools.combinations(e, r))
+        n, hm = len(self.ground), self.h_masks
+        return all((1 << i) | (1 << j) in hm for i in range(n) for j in range(i, n))
 
     # -- flats and closure ----------------------------------------------------------
 
@@ -160,26 +210,16 @@ class HereditaryCollection:
 
     @cached_property
     def _flat_masks(self) -> tuple[int, ...]:
-        hm = self.h_masks
-        full = self.full_mask
-        out = []
-        for x in range(full + 1):
-            ok = True
-            for s in hm:
-                if s & x == s:
-                    rest = full & ~x
-                    r = rest
-                    while r:
-                        low = r & (-r)
-                        if (s | low) not in hm:
-                            ok = False
-                            break
-                        r ^= low
-                    if not ok:
-                        break
-            if ok:
-                out.append(x)
-        return tuple(out)
+        """The sets X that no circuit leaves by a single point.
+
+        This is the definition: if s is independent inside X and s + p is
+        dependent for a point p outside X, a circuit inside s + p holds p
+        and leaves X by p alone; a circuit c leaving X by p alone gives the
+        independent s = c - p inside X.
+        """
+        circuits = self._circuit_masks
+        return tuple(x for x in range(self.full_mask + 1)
+                     if not any((c & ~x).bit_count() == 1 for c in circuits))
 
     @cached_property
     def _flats(self) -> FlatFamily:
@@ -222,21 +262,16 @@ class HereditaryCollection:
 
     @cached_property
     def _circuit_masks(self) -> tuple[int, ...]:
+        """The dependent sets whose one-point deletions are all independent."""
         hm = self.h_masks
         out = []
         for x in range(1 << len(self.ground)):
-            if x in hm:
-                continue
-            minimal = True
-            r = x
-            while r:
-                low = r & (-r)
-                if (x ^ low) not in hm:
-                    minimal = False
-                    break
-                r ^= low
-            if minimal:
-                out.append(x)
+            if x not in hm:
+                r = x
+                while r and x ^ (r & -r) in hm:
+                    r &= r - 1
+                if not r:
+                    out.append(x)
         return tuple(out)
 
     @cached_property
@@ -250,32 +285,32 @@ class HereditaryCollection:
     # -- predicates -----------------------------------------------------------------
 
     def is_matroid(self) -> bool:
-        """Exchange property over all pairs with |I| = |J| + 1."""
-        by_size: dict[int, list[frozenset]] = {}
-        for s in self.independents:
-            by_size.setdefault(len(s), []).append(s)
-        for k, js in by_size.items():
-            bigger = by_size.get(k + 1, [])
-            for j in js:
-                for i in bigger:
-                    if not any(j | {x} in self.independents for x in i - j):
-                        return False
-        return True
+        """Exchange property over all pairs with |I| = |J| + 1: some point of
+        I - J extends J, that is, I meets ext[J]."""
+        ext = self._extensions
+        by_size: dict[int, list[int]] = {}
+        for s in ext:
+            by_size.setdefault(s.bit_count(), []).append(s)
+        return all(i & ext[j] for k, js in by_size.items() for j in js
+                   for i in by_size.get(k + 1, ()))
 
     def satisfies_pr(self) -> bool:
-        """Point replacement: swap some member of J for any independent point."""
-        points = [p for p in self.ground if frozenset((p,)) in self.independents]
-        for j in self.independents:
-            if not j:
-                continue
-            for p in points:
-                if not any((j - {x}) | {p} in self.independents for x in j):
-                    return False
+        """Point replacement: for nonempty J in H and an independent point p,
+        some J - x + p is in H: p lies in J or in ext[J - x] for an x in J."""
+        ext = self._extensions
+        for j in ext:
+            reach, r = j, j
+            while r:
+                low = r & -r
+                reach |= ext[j ^ low]
+                r ^= low
+            if j and ext[0] & ~reach:
+                return False
         return True
 
     def __repr__(self) -> str:
         return (f"HereditaryCollection(|E|={len(self.ground)}, "
-                f"|H|={len(self.independents)}, rank={self.rank})")
+                f"|H|={len(self.h_masks)}, rank={self.rank})")
 
 
 # -- rank functions ---------------------------------------------------------------
@@ -336,12 +371,12 @@ def rank_function(hc: HereditaryCollection, check_submodular: bool = False
 
 def hyperplanes(hc: HereditaryCollection) -> frozenset[frozenset[str]]:
     """Maximal flats other than the full ground set."""
+    return frozenset(map(hc.set_of, _hyperplane_masks(hc)))
+
+
+def _hyperplane_masks(hc: HereditaryCollection) -> list[int]:
     fl = [m for m in hc._flat_masks if m != hc.full_mask]
-    out = []
-    for m in fl:
-        if not any(w != m and w & m == m for w in fl):
-            out.append(m)
-    return frozenset(hc.set_of(m) for m in out)
+    return [m for m in fl if not any(w != m and w & m == m for w in fl)]
 
 
 # -- boolean representability --------------------------------------------------------
@@ -421,7 +456,7 @@ def flat_lattice(hc: HereditaryCollection) -> VGenLattice:
         raise NotSimple("the point closures must be the points themselves")
     fam = hc.flats()
     lat, labels = lattice_of_family(fam)
-    gens = tuple(labels[frozenset((e,))] for e in hc.ground)
+    gens = tuple(labels[1 << i] for i in range(len(hc.ground)))
     return VGenLattice(lat, gens)
 
 
@@ -436,21 +471,20 @@ def flat_matrix(hc: HereditaryCollection) -> BoolMatrix:
 def truncation(hc: HereditaryCollection, k: int) -> HereditaryCollection:
     if k < 0:
         raise FormatError("truncation level must be >= 0")
-    return HereditaryCollection(
-        hc.ground, frozenset(s for s in hc.independents if len(s) <= k)
-    )
+    return HereditaryCollection.from_masks(
+        hc.ground, (s for s in hc.h_masks if s.bit_count() <= k))
 
 
 def union_hc(a: HereditaryCollection, b: HereditaryCollection) -> HereditaryCollection:
     if a.ground != b.ground:
         raise GroundMismatch(a.ground, b.ground)
-    return HereditaryCollection(a.ground, a.independents | b.independents)
+    return HereditaryCollection.from_masks(a.ground, a.h_masks | b.h_masks)
 
 
 def intersection_hc(a: HereditaryCollection, b: HereditaryCollection) -> HereditaryCollection:
     if a.ground != b.ground:
         raise GroundMismatch(a.ground, b.ground)
-    return HereditaryCollection(a.ground, a.independents & b.independents)
+    return HereditaryCollection.from_masks(a.ground, a.h_masks & b.h_masks)
 
 
 def rank3_union_representable_hypothesis(a: HereditaryCollection,
@@ -473,8 +507,9 @@ def is_paving(hc: HereditaryCollection) -> bool:
     r = hc.rank
     if r <= 2:
         raise RankTooSmall(f"paving needs rank > 2, got {r}")
-    return all(frozenset(c) in hc.independents
-               for s in range(r) for c in itertools.combinations(hc.ground, s))
+    n = len(hc.ground)
+    return (sum(1 for m in hc.h_masks if m.bit_count() < r)
+            == sum(comb(n, s) for s in range(r)))
 
 
 def paving_representable(hc: HereditaryCollection) -> bool:
@@ -485,22 +520,16 @@ def paving_representable(hc: HereditaryCollection) -> bool:
     r = hc.rank
     if r <= 2:
         raise RankTooSmall(f"paving semantics need rank > 2, got {r}")
-    for s in hc.independents:
-        if len(s) == r:
-            if not any(x not in hc.closure(s - {x}) for x in s):
-                return False
-    return True
+    cl = hc._closure
+    return all(any(not cl(s ^ (1 << x)) >> x & 1 for x in _bits(s))
+               for s in hc.h_masks if s.bit_count() == r)
 
 
 # -- JSON ------------------------------------------------------------------------
 
 
 def hc_to_json(hc: HereditaryCollection) -> str:
-    order = {g: i for i, g in enumerate(hc.ground)}
-    fac = sorted(
-        (sorted(f, key=order.__getitem__) for f in hc.facets),
-        key=lambda f: (len(f), [order[x] for x in f]),
-    )
+    fac = [mask_to_list(f, hc.ground) for f in sorted(hc._facet_masks, key=mask_order)]
     return json.dumps({"ground": list(hc.ground), "facets": fac})
 
 
@@ -547,32 +576,31 @@ def _ground(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(1, n + 1))
 
 
+def _collection(n: int, r: int, drop: str = "", extra: str = "") -> HereditaryCollection:
+    """The subsets of at most r of the points 1..n, less the sets in drop,
+    plus those in extra; drop and extra are space-separated digit strings."""
+    g = _ground(n)
+    h = {c for k in range(r + 1) for c in itertools.combinations(g, k)}
+    h -= set(map(tuple, drop.split()))
+    return HereditaryCollection(g, [*h, *extra.split()])
+
+
 def uniform(a: int, b: int) -> HereditaryCollection:
     """All subsets of size <= a of a b-element ground set."""
-    g = _ground(b)
-    return HereditaryCollection.from_independents(
-        g, (c for r in range(a + 1) for c in itertools.combinations(g, r)))
+    return _collection(b, a)
 
 
-FANO_LINES = (("1", "2", "5"), ("1", "3", "7"), ("1", "4", "6"), ("2", "3", "6"),
-              ("2", "4", "7"), ("3", "4", "5"), ("5", "6", "7"))
+FANO_LINES = tuple(map(tuple, "125 137 146 236 247 345 567".split()))
 
 
 def fano() -> HereditaryCollection:
     """Rank-3 matroid on 7 points whose dependent triples are the 7 lines."""
-    g = _ground(7)
-    lines = {frozenset(l) for l in FANO_LINES}
-    h = [c for r in range(4) for c in itertools.combinations(g, r)
-         if frozenset(c) not in lines]
-    return HereditaryCollection.from_independents(g, h)
+    return _collection(7, 3, " ".join(map("".join, FANO_LINES)))
 
 
 def example_bigex() -> HereditaryCollection:
     """Rank-3 matroid on 4 points: every at-most-3-subset except one triple."""
-    g = _ground(4)
-    h = [c for r in range(4) for c in itertools.combinations(g, r)
-         if frozenset(c) != frozenset(("1", "2", "3"))]
-    return HereditaryCollection.from_independents(g, h)
+    return _collection(4, 3, "123")
 
 
 def example_libourne_matrix() -> BoolMatrix:
@@ -583,29 +611,13 @@ def example_libourne_matrix() -> BoolMatrix:
 
 def example_unio() -> tuple[HereditaryCollection, HereditaryCollection]:
     """Two representable collections on 6 points whose union is not."""
-    g = _ground(6)
-    drop1 = {frozenset(t) for t in
-             (("1", "2", "3"), ("1", "2", "5"), ("1", "3", "5"), ("2", "3", "5"),
-              ("1", "4", "6"), ("2", "4", "6"), ("3", "4", "6"), ("4", "5", "6"))}
-    j1 = [c for r in range(4) for c in itertools.combinations(g, r)
-          if frozenset(c) not in drop1]
-    j2 = [c for r in range(3) for c in itertools.combinations(g, r)]
-    j2 += [("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5"), ("1", "2", "6")]
-    return (HereditaryCollection.from_independents(g, j1),
-            HereditaryCollection.from_independents(g, j2))
+    return (_collection(6, 3, "123 125 135 235 146 246 346 456"),
+            _collection(6, 2, extra="123 124 125 126"))
 
 
 def example_truno() -> HereditaryCollection:
     """Representable collection whose 3-truncation is not representable."""
-    g = _ground(6)
-    drop = {frozenset(t) for t in
-            (("1", "3", "5"), ("2", "3", "5"), ("1", "4", "6"),
-             ("2", "4", "6"), ("3", "4", "6"), ("4", "5", "6"))}
-    h = [c for r in range(4) for c in itertools.combinations(g, r)
-         if frozenset(c) not in drop]
-    h += [("1", "2", "3", "4"), ("1", "2", "3", "6"),
-          ("1", "2", "4", "5"), ("1", "2", "5", "6")]
-    return HereditaryCollection.from_independents(g, h)
+    return _collection(6, 3, "135 235 146 246 346 456", "1234 1236 1245 1256")
 
 
 def section3_matrix() -> BoolMatrix:

@@ -143,18 +143,21 @@ class FiniteLattice:
         return cls(labels, tuple(down))
 
     @classmethod
-    def from_family(cls, members: Iterable[frozenset], labeler
-                    ) -> tuple["FiniteLattice", dict]:
-        """Lattice of a set family ordered by inclusion (meets must exist).
+    def from_family(cls, ground: Sequence[str], masks: Iterable[int]
+                    ) -> tuple["FiniteLattice", dict[int, str]]:
+        """Lattice of a family of masks over ground, ordered by inclusion
+        (meets must exist).
 
-        Returns the lattice plus the member -> label map.  Members are sorted
-        by (size, sorted contents) so construction is deterministic; the
-        down-set of each member is the set of members it includes.
+        Returns the lattice plus the mask -> mask_label map.  Members are
+        sorted by size, then by their sorted labels, so construction is
+        deterministic; the down-set of each member is the set of members it
+        includes.
         """
-        ms = sorted(set(members), key=lambda s: (len(s), tuple(sorted(s))))
-        labels = {s: labeler(s) for s in ms}
-        down = tuple(sum(1 << i for i, a in enumerate(ms) if a <= b) for b in ms)
-        return cls(tuple(labels[s] for s in ms), down), labels
+        ms = sorted(set(masks), key=lambda m: (m.bit_count(),
+                                               sorted(mask_to_list(m, ground))))
+        labels = {m: mask_label(m, ground) for m in ms}
+        down = tuple(sum(1 << i for i, a in enumerate(ms) if a & b == a) for b in ms)
+        return cls(tuple(labels.values()), down), labels
 
     # -- queries ---------------------------------------------------------------
 
@@ -269,18 +272,6 @@ def lattice_from_covers(elements, cover_pairs, max_size: Optional[int] = None):
     return FiniteLattice.from_covers(elements, cover_pairs, max_size=max_size)
 
 
-def height(l: FiniteLattice) -> int:
-    return l.height()
-
-
-def sji_elements(l: FiniteLattice) -> frozenset[str]:
-    return l.sji_elements()
-
-
-def smi_elements(l: FiniteLattice) -> frozenset[str]:
-    return l.smi_elements()
-
-
 @dataclass(frozen=True)
 class VGenLattice:
     """A finite lattice together with a join-generating set E (bottom excluded)."""
@@ -321,6 +312,16 @@ def labels_to_mask(labels: Iterable[str], index: dict[str, int]) -> int:
 def mask_to_labels(mask: int, ground: Sequence[str]) -> frozenset[str]:
     """The labels ground[i] of the set bits i of mask."""
     return frozenset(ground[i] for i in _bits(mask))
+
+
+def mask_to_list(mask: int, ground: Sequence[str]) -> list[str]:
+    """mask_to_labels in ground order, for printing."""
+    return [ground[i] for i in _bits(mask)]
+
+
+def mask_order(mask: int) -> tuple[int, list[int]]:
+    """Sort key: size, then the points' ground positions."""
+    return mask.bit_count(), list(_bits(mask))
 
 
 @dataclass(frozen=True, init=False)
@@ -403,7 +404,7 @@ class FlatFamily:
 
     def sorted_masks(self) -> list[int]:
         """Members by size, then by their points' ground positions."""
-        return sorted(self.masks, key=lambda m: (m.bit_count(), list(_bits(m))))
+        return sorted(self.masks, key=mask_order)
 
     def sorted_members(self) -> list[frozenset[str]]:
         return [mask_to_labels(m, self.ground) for m in self.sorted_masks()]
@@ -417,7 +418,7 @@ def flat_label(s: frozenset, ground: Sequence[str]) -> str:
 
 def mask_label(mask: int, ground: Sequence[str]) -> str:
     """flat_label of the set whose points are the set bits of mask."""
-    return "{" + ",".join(ground[i] for i in _bits(mask)) + "}"
+    return "{" + ",".join(mask_to_list(mask, ground)) + "}"
 
 
 def family_matrix(fam: FlatFamily) -> BoolMatrix:
@@ -477,18 +478,18 @@ def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]
     return FlatFamily.from_masks(ground, frozenset(members)), y
 
 
-def lattice_of_family(fam: FlatFamily):
-    """(FiniteLattice ordered by inclusion, member -> label map)."""
-    return FiniteLattice.from_family(fam.members, lambda s: flat_label(s, fam.ground))
+def lattice_of_family(fam: FlatFamily) -> tuple[FiniteLattice, dict[int, str]]:
+    """(FiniteLattice ordered by inclusion, member mask -> label map)."""
+    return FiniteLattice.from_family(fam.ground, fam.masks)
 
 
 def lattice_from_matrix(m: BoolMatrix) -> VGenLattice:
     """The flat lattice of m, join-generated by the column flats."""
-    fam, y = flats_of_matrix(m)
+    fam, _ = flats_of_matrix(m)
     lat, labels = lattice_of_family(fam)
     gens = []
-    for c in m.col_labels:
-        lbl = labels[y[c]]
+    for j in range(len(m.col_labels)):
+        lbl = labels[fam._closure(1 << j)]  # the column flat of j
         if lbl not in gens:
             gens.append(lbl)
     return VGenLattice(lat, tuple(gens))
@@ -513,19 +514,16 @@ def c_independence_chain(vg: VGenLattice, xs: Iterable[str]) -> Optional[list[st
             raise FormatError(f"unknown element {x!r}")
     memo: dict[frozenset, Optional[tuple]] = {}
 
-    def joins(sub: frozenset) -> str:
-        return lat.join_of(sub)
-
     def rec(sub: frozenset) -> Optional[tuple]:
         if len(sub) <= 1:
             return tuple(sub)
         if sub in memo:
             return memo[sub]
-        j = joins(sub)
+        j = lat.join_of(sub)
         out = None
         for x1 in sorted(sub, key=lat.index):
             rest = sub - {x1}
-            if joins(rest) != j:
+            if lat.join_of(rest) != j:
                 tail = rec(rest)
                 if tail is not None:
                     out = (x1,) + tail

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     NotSurjective,
     TopInIdeal,
 )
-from .hereditary import HereditaryCollection, _all_subsets, is_boolean_representable
+from .hereditary import HereditaryCollection, is_boolean_representable
 from .lattice import FiniteLattice, FlatFamily, VGenLattice
 
 # -- join-preserving maps -----------------------------------------------------------
@@ -134,16 +135,9 @@ class VCongruence:
                     if cls(lat.join(x, z)) is not cls(lat.join(y, z)):
                         raise NotACongruence((x, y, z))
 
-    @property
+    @cached_property
     def block_of(self):
-        idx = self.__dict__.get("_block_idx")
-        if idx is None:
-            idx = {}
-            for b in self.blocks:
-                for x in b:
-                    idx[x] = b
-            object.__setattr__(self, "_block_idx", idx)
-        return idx.__getitem__
+        return {x: b for b in self.blocks for x in b}.__getitem__
 
     @classmethod
     def from_pairs(cls, lattice: FiniteLattice, pairs: Iterable[tuple[str, str]]
@@ -248,13 +242,7 @@ def quotient_lattice(lat: FiniteLattice, rho: VCongruence,
         m = lat.join_of(b)
         for x in b:
             names[x] = m
-    elems = sorted(set(names.values()), key=lat.index)
-    pairs = set()
-    for x, y in itertools.permutations(elems, 2):
-        if lat.leq(x, y) and x != y:
-            pairs.add((x, y))
-    # order generators suffice; from_covers recomputes the reduction
-    q = FiniteLattice.from_covers(elems, sorted(pairs))
+    q = _sublattice(lat, names.values())
     qgens = None
     if gens is not None:
         qgens = tuple(dict.fromkeys(
@@ -281,11 +269,9 @@ def rees_quotient(lat: FiniteLattice, ideal: Iterable[str]) -> FiniteLattice:
     bot = "_B_"
     while bot in lat._index:
         bot += "_"
-    pairs = [(bot, x) for x in keep]
-    for x, y in itertools.permutations(keep, 2):
-        if lat.leq(x, y):
-            pairs.append((x, y))
-    return FiniteLattice.from_covers([bot] + keep, pairs)
+    # the new bottom is bit 0, below everything; keep[t] moves to bit t + 1
+    down = (1,) + tuple(d << 1 | 1 for d in _induced_down(lat, keep))
+    return FiniteLattice((bot, *keep), down)
 
 
 def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLattice:
@@ -426,10 +412,17 @@ def mpi_factorize(phi: VMap) -> list[MpiStep]:
     return steps
 
 
+def _induced_down(lat: FiniteLattice, keep: Sequence[str]) -> tuple[int, ...]:
+    """Down-sets of the order lat induces on keep (bit t is keep[t])."""
+    idx = [lat.index(x) for x in keep]
+    return tuple(sum(1 << t for t, i in enumerate(idx) if lat.down[j] >> i & 1)
+                 for j in idx)
+
+
 def _sublattice(lat: FiniteLattice, labels: Iterable[str]) -> FiniteLattice:
-    keep = sorted(frozenset(labels), key=lat.index)
-    pairs = [(x, y) for x, y in itertools.permutations(keep, 2) if lat.leq(x, y)]
-    return FiniteLattice.from_covers(keep, pairs)
+    """The induced suborder on labels, in lat's order, validated as a lattice."""
+    keep = tuple(sorted(frozenset(labels), key=lat.index))
+    return FiniteLattice(keep, _induced_down(lat, keep))
 
 
 def csi_factorize(phi: VMap) -> tuple[list[MpsStep], list[MpiStep]]:
@@ -500,10 +493,10 @@ def hc_strong_map(phi: Mapping[str, str], a: HereditaryCollection,
     for e in a.ground:
         if phi[e] not in b._gidx:
             raise FormatError(f"image {phi[e]!r} outside the target ground")
-    bfl = b.flats().members
-    afl = a.flats().members
-    for z in bfl:
-        pre = frozenset(e for e in a.ground if phi[e] in z)
+    img = [b._gidx[phi[e]] for e in a.ground]
+    afl = a.flats().masks
+    for z in b.flats().masks:
+        pre = sum(1 << i for i, j in enumerate(img) if z >> j & 1)
         if pre not in afl:
             return False
     return True
@@ -515,11 +508,13 @@ def hc_weak_map(phi: Mapping[str, str], a: HereditaryCollection,
     for e in a.ground:
         if phi[e] not in b._gidx:
             raise FormatError(f"image {phi[e]!r} outside the target ground")
-    for x in _all_subsets(a.ground):
-        img = frozenset(phi[e] for e in x)
-        if len(img) == len(x) and img in b.independents:
-            if x not in a.independents:
-                return False
+    img = [0] * (1 << len(a.ground))  # img[x]: the mask of phi's image of x
+    for x in range(1, len(img)):
+        low = x & -x
+        img[x] = img[x ^ low] | 1 << b._gidx[phi[a.ground[low.bit_length() - 1]]]
+        if img[x].bit_count() == x.bit_count() and img[x] in b.h_masks \
+                and x not in a.h_masks:
+            return False
     return True
 
 

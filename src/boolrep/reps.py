@@ -41,7 +41,7 @@ from .lattice import (
     lattice_of_family,
     mask_label,
 )
-from .sbcore import BoolMatrix, columns_independent
+from .sbcore import BoolMatrix, witness_for_mask
 
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
@@ -137,8 +137,8 @@ class RepRecord:
     def lattice(self) -> VGenLattice:
         lat, labels = lattice_of_family(self.family)
         gens = []
-        for e in self.hc.ground:
-            lbl = labels[self.family.closure_of((e,))]
+        for i in range(len(self.hc.ground)):
+            lbl = labels[self.family._closure(1 << i)]
             if lbl not in gens:
                 gens.append(lbl)
         return VGenLattice(lat, tuple(gens))
@@ -417,11 +417,8 @@ def join_families(f1: FlatFamily, f2: FlatFamily) -> FlatFamily:
     """Union plus pairwise intersections; already intersection closed."""
     if tuple(f1.ground) != tuple(f2.ground):
         raise GroundMismatch(f1.ground, f2.ground)
-    members = set(f1.members) | set(f2.members)
-    for a in f1.members:
-        for b in f2.members:
-            members.add(a & b)
-    return FlatFamily(f1.ground, frozenset(members))
+    meets = frozenset(a & b for a in f1.masks for b in f2.masks)
+    return FlatFamily.from_masks(f1.ground, meets | f1.masks | f2.masks)
 
 
 def _fresh_label(label: str, taken: set[str]) -> str:
@@ -537,13 +534,10 @@ def matrix_represents(hc: HereditaryCollection, m: BoolMatrix) -> bool:
     """
     if tuple(m.col_labels) != tuple(hc.ground):
         raise GroundMismatch(m.col_labels, hc.ground)
-    for s in sorted(hc.independents, key=len, reverse=True):
-        if not columns_independent(m, s):
+    for s in sorted(hc.h_masks, key=int.bit_count, reverse=True):
+        if witness_for_mask(m, s) is None:
             return False
-    for c in hc.circuits():
-        if columns_independent(m, c):
-            return False
-    return True
+    return all(witness_for_mask(m, c) is None for c in hc._circuit_masks)
 
 
 def is_rowmin(hc: HereditaryCollection, m: BoolMatrix) -> bool:

@@ -312,16 +312,17 @@ def witness_for(m: BoolMatrix, cols: Iterable[str]) -> Optional[Witness]:
     on the remaining columns, so branching over all such rows is complete.
     Ties break to the lowest row index, giving deterministic certificates.
     """
-    idx = sorted(m.col_index(c) for c in set(cols))
-    k = len(idx)
+    return witness_for_mask(m, sum({1 << m.col_index(c) for c in cols}))
+
+
+def witness_for_mask(m: BoolMatrix, target: int) -> Optional[Witness]:
+    """witness_for the columns j whose bits are set in target."""
+    k = target.bit_count()
     if k == 0:
         return Witness((), ())
     if k > m.n_rows:
         return None
     masks = m.ones_masks
-    target = 0
-    for j in idx:
-        target |= 1 << j
 
     row_order: list[int] = []
     col_order: list[int] = []

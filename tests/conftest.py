@@ -184,9 +184,10 @@ def random_closure_lattice(rng: random.Random, universe: int = 4,
             if c not in members:
                 members.add(c)
                 work.append(c)
-    lat, _ = FiniteLattice.from_family(
-        members, lambda s: "".join(str(x) for x in sorted(s)) or "o")
-    return lat
+    # ordered and labelled as the label-set from_family did
+    ms = sorted(members, key=lambda s: (len(s), tuple(sorted(s))))
+    down = tuple(sum(1 << i for i, a in enumerate(ms) if a <= b) for b in ms)
+    return FiniteLattice(tuple("".join(map(str, sorted(s))) or "o" for s in ms), down)
 
 
 def random_vgen(rng: random.Random, universe: int = 4, seeds: int = 4) -> VGenLattice:

@@ -1,14 +1,19 @@
 """Command-line behaviors: formats, pipelines, exit codes, reproduce targets."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boolrep
+from boolrep import errors
 from boolrep.cli import main
 
 # the child process imports boolrep from where this process found it
@@ -304,14 +309,14 @@ class TestErrorsAndCodes:
     def test_facet_outside_ground_before_expansion(self, capsys, monkeypatch):
         # a 40-label facet outside a 2-point ground would expand 2^40 subsets
         from boolrep import hereditary
-        expand = hereditary._all_subsets
+        expand = hereditary._submasks
 
-        def guarded(items):
-            if len(items) > 2:
+        def guarded(mask):
+            if mask.bit_count() > 2:
                 raise AssertionError("a facet was expanded before the ground check")
-            return expand(items)
+            return expand(mask)
 
-        monkeypatch.setattr(hereditary, "_all_subsets", guarded)
+        monkeypatch.setattr(hereditary, "_submasks", guarded)
         hc = json.dumps({"ground": ["1", "2"],
                          "facets": [[f"x{i}" for i in range(40)]]})
         code, out = run_main(capsys, ["flats"], stdin_text=hc,
@@ -386,3 +391,62 @@ class TestReproduce:
         _, out1 = run_main(capsys, ["reproduce", "section3"])
         _, out2 = run_main(capsys, ["reproduce", "section3"])
         assert out1 == out2
+
+
+# -- contract fuzz: random and malformed collection JSON -------------------------------
+
+COLLECTION_VERBS = (["flats"], ["circuits"], ["rank"], ["check-repr"],
+                    ["check-matroid"], ["check-paving"], ["minimal-reps"],
+                    ["sji-reps"], ["mindeg"], ["truncate", "--k", "2"],
+                    ["truncate", "--k", "-1"])
+ANY_LABEL = st.one_of(st.sampled_from(["1", "2", "a", ""]), st.integers(-1, 7),
+                      st.booleans(), st.floats(-2, 2), st.none(),
+                      st.lists(st.integers(0, 2), max_size=2))
+
+
+@st.composite
+def collection_json(draw):
+    """(text, outside): JSON for a collection, and whether a facet of an
+    otherwise well-formed one names a label outside its ground."""
+    kind = draw(st.sampled_from(["typed", "simple", "typed", "simple", "any", "shape",
+                                 "text"]))
+    if kind in ("typed", "simple"):  # distinct string labels
+        n = draw(st.integers(0, 6))
+        ground = [str(i) for i in range(1, n + 1)]
+        inside = st.lists(st.sampled_from(ground), max_size=n) if ground else st.just([])
+        facets = draw(st.lists(inside, min_size=1, max_size=6))
+        if kind == "simple":  # every pair independent
+            facets += [list(p) for p in itertools.combinations(ground, 2)]
+        outside = draw(st.integers(0, 4)) == 3  # one in five names a label outside E
+        if outside:
+            facets[draw(st.integers(0, len(facets) - 1))].append("x")
+        return json.dumps({"ground": ground, "facets": facets}), outside
+    if kind == "any":  # labels of every JSON type
+        key = draw(st.sampled_from(["facets", "independents"]))
+        return json.dumps({
+            "ground": draw(st.lists(ANY_LABEL, max_size=6)),
+            key: draw(st.lists(st.lists(ANY_LABEL, max_size=4), max_size=6))}), False
+    if kind == "shape":  # wrong containers and missing keys
+        value = st.one_of(ANY_LABEL, st.lists(ANY_LABEL, max_size=3),
+                          st.lists(st.lists(ANY_LABEL, max_size=2), max_size=2))
+        return json.dumps(draw(st.one_of(value, st.dictionaries(
+            st.sampled_from(["ground", "facets", "independents", "rank"]),
+            value, max_size=3)))), False
+    return draw(st.sampled_from(['{"ground": ["1"', "", "[", "{}", "null", "\ufeff{}"])), False
+
+
+class TestCollectionContractFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(verb=st.sampled_from(COLLECTION_VERBS), case=collection_json())
+    def test_exit_code_and_error_object(self, verb, case):
+        text, outside = case
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+            code = main(verb)
+        assert code in (0, 1)
+        if code == 1:
+            err = json.loads(out.getvalue())
+            assert set(err) == {"error", "detail"}
+            assert issubclass(getattr(errors, err["error"]), errors.BoolrepError)
+        if outside:
+            assert code == 1 and err["error"] == "FormatError"

@@ -8,6 +8,7 @@ import pytest
 from boolrep.errors import (
     BoolrepError,
     EmptyFamily,
+    FormatError,
     GroundMismatch,
     NotDownwardClosed,
     NotSimple,
@@ -505,3 +506,181 @@ class TestExhaustiveSmallGround:
         for hc in all_simple_hcs(5):
             if is_boolean_representable(hc):
                 assert hc.satisfies_pr()
+
+
+# -- the label-set versions of the mask methods, kept here as oracles ---------------
+
+
+def label_facets(hc):
+    h = hc.independents
+    return frozenset(s for s in h if not any(s < t for t in h))
+
+
+def label_rank(hc):
+    return max(len(s) for s in hc.independents)
+
+
+def label_is_simple(hc):
+    return all(frozenset(c) in hc.independents
+               for r in (1, 2) for c in itertools.combinations(hc.ground, r))
+
+
+def label_is_matroid(hc):
+    h = hc.independents
+    by_size = {}
+    for s in h:
+        by_size.setdefault(len(s), []).append(s)
+    for k, js in by_size.items():
+        for j in js:
+            for i in by_size.get(k + 1, []):
+                if not any(j | {x} in h for x in i - j):
+                    return False
+    return True
+
+
+def label_satisfies_pr(hc):
+    h = hc.independents
+    points = [p for p in hc.ground if frozenset((p,)) in h]
+    for j in h:
+        if not j:
+            continue
+        for p in points:
+            if not any((j - {x}) | {p} in h for x in j):
+                return False
+    return True
+
+
+def label_is_paving(hc):
+    r = label_rank(hc)
+    if r <= 2:
+        raise RankTooSmall(r)
+    return all(frozenset(c) in hc.independents
+               for s in range(r) for c in itertools.combinations(hc.ground, s))
+
+
+def label_paving_representable(hc):
+    r = label_rank(hc)
+    if r <= 2:
+        raise RankTooSmall(r)
+    return all(any(x not in hc.closure(s - {x}) for x in s)
+               for s in hc.independents if len(s) == r)
+
+
+def label_truncation(hc, k):
+    return HereditaryCollection(hc.ground, frozenset(s for s in hc.independents
+                                                     if len(s) <= k))
+
+
+def label_weak_map(phi, a, b):
+    for r in range(len(a.ground) + 1):
+        for c in itertools.combinations(a.ground, r):
+            x = frozenset(c)
+            img = frozenset(phi[e] for e in x)
+            if len(img) == len(x) and img in b.independents \
+                    and x not in a.independents:
+                return False
+    return True
+
+
+def oracle_collections():
+    """Every collection on one to four points, then seeded random ones on 5-7."""
+    rng = random.Random(97)
+    extra = [random_hc(rng, rng.randint(5, 7)) for _ in range(40)]
+    extra += [random_simple_hc(rng, rng.randint(5, 7)) for _ in range(20)]
+    return [hc for n in range(1, 5) for hc in all_hcs(n)] + extra
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except RankTooSmall:
+        return RankTooSmall
+
+
+class TestMaskFormatOracles:
+    """The collection stores H as masks only; each mask-based query agrees
+    with the label-set version it replaced, on both of its outcomes."""
+
+    HCS = oracle_collections()
+
+    def test_structure_matches_label_sets(self):
+        for hc in self.HCS:
+            assert hc.facets == label_facets(hc)
+            assert hc.rank == label_rank(hc)
+            assert hc.independents == frozenset(map(hc.set_of, hc.h_masks))
+            assert hc_from_json(hc_to_json(hc)) == hc
+
+    @pytest.mark.parametrize("new,old", [
+        (HereditaryCollection.is_simple, label_is_simple),
+        (HereditaryCollection.is_matroid, label_is_matroid),
+        (HereditaryCollection.satisfies_pr, label_satisfies_pr),
+        (is_paving, label_is_paving),
+        (paving_representable, label_paving_representable),
+    ], ids=["is_simple", "is_matroid", "satisfies_pr", "is_paving",
+            "paving_representable"])
+    def test_predicate_matches_label_sets(self, new, old):
+        seen = set()
+        for hc in self.HCS:
+            got = outcome(new, hc)
+            assert got == outcome(old, hc), hc
+            seen.add(got)
+        assert {True, False} <= seen
+
+    def test_flats_match_definition(self):
+        for hc in self.HCS:
+            expected = {frozenset(c) for r in range(len(hc.ground) + 1)
+                        for c in itertools.combinations(hc.ground, r) if hc.is_flat(c)}
+            assert hc.flats().members == expected
+
+    def test_truncation_matches_label_sets(self):
+        for hc in self.HCS:
+            for k in range(hc.rank + 1):
+                t = truncation(hc, k)
+                assert t == label_truncation(hc, k)
+                assert t.independents == label_truncation(hc, k).independents
+
+    def test_union_intersection_match_label_sets(self):
+        rng = random.Random(98)
+        four = all_hcs(4)
+        for _ in range(300):
+            a, b = rng.choice(four), rng.choice(four)
+            assert union_hc(a, b) == HereditaryCollection(
+                a.ground, a.independents | b.independents)
+            assert intersection_hc(a, b) == HereditaryCollection(
+                a.ground, a.independents & b.independents)
+
+    def test_weak_map_matches_label_sets(self):
+        from boolrep.maps import hc_weak_map
+
+        rng = random.Random(99)
+        four = all_hcs(4)
+        seen = set()
+        for _ in range(400):
+            a, b = rng.choice(four), rng.choice(four)
+            phi = {e: rng.choice(b.ground) for e in a.ground}
+            if rng.random() < 0.5:  # half of the maps are bijections
+                phi = dict(zip(a.ground, rng.sample(b.ground, len(b.ground))))
+            got = hc_weak_map(phi, a, b)
+            assert got == label_weak_map(phi, a, b)
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_three_constructors_agree(self):
+        for hc in self.HCS:
+            made = [HereditaryCollection(hc.ground, hc.independents),
+                    HereditaryCollection.from_facets(hc.ground, hc.facets),
+                    HereditaryCollection.from_masks(hc.ground, hc.h_masks)]
+            assert all(m == hc for m in made)
+            assert {hash(m) for m in made} == {hash(hc)}
+
+    def test_from_masks_validates(self):
+        with pytest.raises(EmptyFamily):
+            HereditaryCollection.from_masks("12", [])
+        with pytest.raises(NotDownwardClosed):
+            HereditaryCollection.from_masks("12", [0, 3])
+        with pytest.raises(FormatError):
+            HereditaryCollection.from_masks("12", [0, 4])
+        with pytest.raises(FormatError):
+            HereditaryCollection.from_masks("11", [0])
+        with pytest.raises(FormatError):
+            HereditaryCollection.from_facets("12", [["1"], ["3"]])

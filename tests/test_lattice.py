@@ -122,8 +122,10 @@ class TestConstruction:
             for _ in range(6):
                 new = frozenset(x for x in range(5) if rng.random() < 0.5)
                 members |= {new} | {new & m for m in members}
-            lat, labels = FiniteLattice.from_family(
-                members, lambda s: "".join(map(str, sorted(s))) or "o")
+            mask = {s: sum(1 << x for x in s) for s in members}
+            lat, by_mask = FiniteLattice.from_family(
+                tuple(map(str, range(5))), mask.values())
+            labels = {s: by_mask[mask[s]] for s in members}
             assert lat.cover_pairs() == sorted(
                 (labels[a], labels[b]) for a in members for b in members
                 if a < b and not any(a < c < b for c in members))

@@ -581,6 +581,26 @@ class TestMaskFamilies:
         sji = [walk.record(f) for f in walk.sji_families()]
         assert count_up_to_e_bijection(sji) == 7
 
+    def test_parsed_collection_predicates_make_no_conversion(self, monkeypatch):
+        # H is stored as masks, so a parsed collection answers its predicates
+        # and its rank table without making label sets
+        texts = [hereditary.hc_to_json(hc) for hc in
+                 (fano(), uniform(3, 6), union_hc(*example_unio()), example_bigex())]
+        hcs = [hereditary.hc_from_json(t) for t in texts]
+
+        def refuse(*args):
+            raise RuntimeError("a mask/label conversion")
+
+        for mod in (lattice, hereditary, reps):
+            for name in ("labels_to_mask", "mask_to_labels"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        got = [(hc.is_matroid(), hc.satisfies_pr(), hereditary.is_paving(hc),
+                hereditary.paving_representable(hc),
+                hereditary.rank_function(hc).rank) for hc in hcs]
+        assert got == [(True, True, True, True, 3), (True, True, True, True, 3),
+                       (False, True, True, False, 3), (True, True, True, True, 3)]
+
 
 def _smi_by_covers(members, full):
     """The cover count that the meet test replaced: members other than E
