@@ -55,15 +55,18 @@ def _submasks(mask: int) -> Iterator[int]:
     yield 0
 
 
+def _label_mask(s: Iterable[str], gidx: dict[str, int], what: str) -> int:
+    """The mask of a label set; a label outside the ground is a FormatError."""
+    try:
+        return labels_to_mask(s, gidx)
+    except KeyError:
+        raise FormatError(f"{what} {sorted(set(s), key=str)} outside ground") from None
+
+
 def _label_masks(sets: Iterable[Iterable[str]], ground: tuple[str, ...], what: str
                  ) -> Iterator[int]:
-    """The mask of each label set; a label outside the ground is a FormatError."""
     gidx = {g: i for i, g in enumerate(ground)}
-    for s in sets:
-        try:
-            yield labels_to_mask(s, gidx)
-        except KeyError:
-            raise FormatError(f"{what} {sorted(set(s))} outside ground") from None
+    return (_label_mask(s, gidx, what) for s in sets)
 
 
 @dataclass(frozen=True, init=False)
@@ -132,7 +135,7 @@ class HereditaryCollection:
         return {g: i for i, g in enumerate(self.ground)}
 
     def mask_of(self, s: Iterable[str]) -> int:
-        return labels_to_mask(s, self._gidx)
+        return _label_mask(s, self._gidx, "set")
 
     def set_of(self, mask: int) -> frozenset[str]:
         return mask_to_labels(mask, self.ground)
@@ -237,6 +240,24 @@ class HereditaryCollection:
         """An independent set without strictly decreasing flat closures, or None."""
         return _chain_admissible(self._h_sorted, self._closure)
 
+    @cached_property
+    def _witnesses(self) -> tuple[dict[int, int], int]:
+        """wit[z] for each flat z, and the int with all its bits set: bit i
+        of wit[z] says z witnesses the i-th independent set x of two or more
+        points, |z & x| = |x| - 1, numbered fewest witnessing flats first
+        (ties in `_h_sorted` order).  Rows with no all-zero column give every
+        x a strictly decreasing closure chain exactly when they witness each
+        x: p is outside cl(x - p) iff a row holds x - p and misses p."""
+        flats = self._flat_masks
+        xs = [x for x in self._h_sorted if x & (x - 1)]
+        wit = dict.fromkeys(flats, 0)
+        by_set = [[z for z in flats if (z & x).bit_count() == x.bit_count() - 1]
+                  for x in xs]
+        for i, zs in enumerate(sorted(by_set, key=len)):
+            for z in zs:
+                wit[z] |= 1 << i
+        return wit, (1 << len(xs)) - 1
+
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest flat containing xs."""
         return self.set_of(self._closure(self.mask_of(xs)))
@@ -325,7 +346,7 @@ class RankFunction:
     table: tuple[int, ...]
 
     def of(self, xs: Iterable[str]) -> int:
-        return self.table[labels_to_mask(xs, self._index)]
+        return self.table[_label_mask(xs, self._index, "set")]
 
     @property
     def rank(self) -> int:

@@ -35,6 +35,7 @@ from .hereditary import (
 from .lattice import (
     FlatFamily,
     VGenLattice,
+    _bits,
     closure_op,
     family_matrix,
     flat_label,
@@ -45,6 +46,7 @@ from .sbcore import BoolMatrix, witness_for_mask
 
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
+MINDEG_MAX_NODES = 10_000_000
 ROWSUM_MAX_ROWS = 4096
 
 
@@ -92,12 +94,11 @@ def represents(hc: HereditaryCollection, fam: FlatFamily) -> bool:
 # -- smi members of a family ---------------------------------------------------------
 
 
-def _smi_covers(members: Sequence[int], full: int) -> list[tuple[int, int]]:
-    """Pairs (z, u): z is a member other than E covered by exactly one other
-    member u under inclusion.
+def _smi_masks(members: Sequence[int], full: int) -> list[int]:
+    """Members (except E) covered by at most one other member under inclusion.
 
     Two covers of z meet in z, so these are the members that differ from the
-    meet u of their strict supersets, and that meet is then the unique cover.
+    meet of their strict supersets.
     """
     out = []
     for z in members:
@@ -108,13 +109,8 @@ def _smi_covers(members: Sequence[int], full: int) -> list[tuple[int, int]]:
             if w & z == z and w != z:
                 meet &= w
         if meet != z:
-            out.append((z, meet))
+            out.append(z)
     return out
-
-
-def _smi_masks(members: Sequence[int], full: int) -> list[int]:
-    """Members (except E) covered by at most one other member under inclusion."""
-    return [z for z, _ in _smi_covers(members, full)]
 
 
 def smi_members(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[frozenset[str]]:
@@ -177,31 +173,6 @@ def order_le(r1: RepRecord, r2: RepRecord) -> bool:
 # -- the walk over representing subfamilies --------------------------------------------
 
 
-def _child_represents(pairs_up: Sequence[int], cl, z: int, u: int) -> bool:
-    """Does P - {z} represent, given that P does?
-
-    pairs_up lists the independent sets of two or more points by size, cl is
-    P's closure and u the unique cover of the smi member z.  Removing z
-    changes the closure only where cl(s) == z, which becomes u; such an s
-    lies inside x only when cl(x & z) == z, so every other independent x
-    keeps its chain from P and only the remaining ones are re-tested.  As in
-    `_chain_admissible`, each smaller independent set is already known to
-    have a chain, so x needs one point outside the closure of the rest.
-    """
-    for x in pairs_up:
-        if cl(x & z) == z:
-            m = x
-            while m:
-                low = m & -m
-                c = cl(x ^ low)
-                if not (u if c == z else c) & low:
-                    break
-                m ^= low
-            else:
-                return False
-    return True
-
-
 class _Families(Set):
     """A walk's families as frozensets of point masks, made on demand."""
 
@@ -231,12 +202,14 @@ class RepresentationLattice:
     records how many representing children (lower covers) each member has.
 
     A family is keyed by one int over the flat indices: bit i stands for
-    `flats[i]`, the i-th flat mask in increasing order.  A child C = P - {z}
-    is tested from its parent's closure: where cl_P(s) == z, cl_C(s) is z's
-    unique cover u, and elsewhere cl_C(s) == cl_P(s) (see
-    `_child_represents`).  `nchildren` maps each member's key to its number
-    of representing children; `members` and the listing methods give
-    frozensets of point masks, made only for the families they return.
+    `flats[i]`, the i-th flat mask in increasing order.  A family represents
+    exactly when its members witness every independent set of two or more
+    points (`HereditaryCollection._witnesses`), so a child P - {z} of a
+    representing P represents unless z is the only member of P witnessing
+    some set: one pass over P's members finds the sets witnessed once.
+    `nchildren` maps each member's key to its number of representing
+    children; `members` and the listing methods give frozensets of point
+    masks, made only for the families they return.
     """
 
     def __init__(self, hc: HereditaryCollection,
@@ -254,27 +227,27 @@ class RepresentationLattice:
             raise NotRepresentable("the collection has no boolean representation")
         self._bit = bit = {m: 1 << i for i, m in enumerate(flats)}
         full = hc.full_mask
-        pairs_up = [x for x in hc._h_sorted if x & (x - 1)]
+        wit = hc._witnesses[0]
         top = (1 << len(flats)) - 1
-        tested: dict[int, bool] = {top: True}
-        nchildren: dict[int, int] = {}
+        nchildren = {top: 0}  # every family reached; counts set when popped
         stack = [top]
         while stack:
             key = stack.pop()
             members = self._members(key)
-            cl = closure_op(members, full)
+            seen = twice = 0
+            for z in members:
+                twice |= seen & wit[z]
+                seen |= wit[z]
+            once = seen & ~twice
             count = 0
-            for z, u in _smi_covers(members, full):
-                if z == 0:
-                    continue  # fullness: the empty set stays
+            for z in _smi_masks(members, full):
+                if z == 0 or wit[z] & once:
+                    continue  # fullness keeps the empty set; z is needed
+                count += 1
                 child = key ^ bit[z]
-                hit = tested.get(child)
-                if hit is None:
-                    hit = _child_represents(pairs_up, cl, z, u)
-                    tested[child] = hit
-                    if hit:
-                        stack.append(child)
-                count += hit
+                if child not in nchildren:
+                    nchildren[child] = 0
+                    stack.append(child)
             nchildren[key] = count
         self.top = frozenset(flats)
         self.nchildren = nchildren
@@ -558,10 +531,15 @@ def is_rowmin(hc: HereditaryCollection, m: BoolMatrix) -> bool:
 
 
 def _leaf_ok(hc: HereditaryCollection, row_masks: Sequence[int]) -> bool:
-    """Do the rows with these zero sets represent hc?  Closing under meets
-    changes no closure; cl(0) != 0 means an all-zero column."""
-    cl = closure_op(row_masks, hc.full_mask)
-    return cl(0) == 0 and _chain_admissible(hc._h_sorted, cl) is None
+    """Do the rows with these zero sets represent hc?  No column is all zero
+    (the rows meet in the empty set) and every independent set of two or more
+    points has a witnessing row (`HereditaryCollection._witnesses`)."""
+    wit, every = hc._witnesses
+    meet, cov = hc.full_mask, 0
+    for z in row_masks:
+        meet &= z
+        cov |= wit[z]
+    return meet == 0 and cov == every
 
 
 def mindeg(hc: HereditaryCollection,
@@ -572,9 +550,10 @@ def mindeg(hc: HereditaryCollection,
     Any reduced representation's rows are complement indicators of flats, so
     the search runs over subsets of Fl minus E by increasing size, starting
     at the rank (a largest independent set needs that many witness rows).
-    Branching picks an independent set not yet first-row-covered (some chosen
-    row must miss exactly one of its points) and tries its viable rows, which
-    prunes most of the subset space; leaves get the exact chain test.
+    Rows represent when they meet in 0 and witness every independent set of
+    two or more points (`_leaf_ok`), so a node ORs its rows' witness bits and
+    branches on the rows witnessing the lowest uncovered bit (fewest
+    witnesses first).  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
     """
     if not hc.is_simple():
         raise NotSimple("minimum degree needs a simple collection")
@@ -583,13 +562,12 @@ def mindeg(hc: HereditaryCollection,
     full = hc.full_mask
     cands = sorted((m for m in hc._flat_masks if m != full),
                    key=lambda m: (-m.bit_count(), m))
-    constraints = [x for x in hc._h_sorted if x.bit_count() >= 2]
-    viable = {}
-    for x in constraints:
-        k = x.bit_count()
-        viable[x] = frozenset(
-            i for i, z in enumerate(cands) if (z & x).bit_count() == k - 1)
-    constraints.sort(key=lambda x: len(viable[x]))
+    wit, every = hc._witnesses
+    cand_wit = [wit[z] for z in cands]
+    witnessed_by: list[list[int]] = [[] for _ in range(every.bit_length())]
+    for i, w in enumerate(cand_wit):
+        for b in _bits(w):
+            witnessed_by[b].append(i)
 
     def to_matrix(row_masks: Sequence[int]) -> BoolMatrix:
         rows = tuple(
@@ -599,47 +577,49 @@ def mindeg(hc: HereditaryCollection,
         return BoolMatrix(rows, hc.ground, labels)
 
     found: list[tuple[int, ...]] = []
+    nodes = 0
 
-    def search(k: int, collect_all: bool) -> None:
-        ncand = len(cands)
+    def leaf(rows: Iterable[int]) -> bool:
+        masks = sorted(cands[i] for i in rows)
+        if _leaf_ok(hc, masks):
+            found.append(tuple(masks))
+            return True
+        return False
 
-        def rec(chosen: frozenset[int], banned: frozenset[int]) -> bool:
-            for x in constraints:
-                if not any(i in viable[x] for i in chosen):
-                    opts = [i for i in sorted(viable[x])
-                            if i not in banned and i not in chosen]
-                    if len(chosen) == k or not opts:
-                        return False
-                    hit = False
-                    newban = set()
-                    for i in opts:
-                        if rec(chosen | {i}, banned | frozenset(newban)):
-                            hit = True
-                            if not collect_all:
-                                return True
-                        newban.add(i)
-                    return hit
-            if len(chosen) == k:
-                masks = sorted(cands[i] for i in chosen)
-                if _leaf_ok(hc, masks):
-                    found.append(tuple(masks))
-                    return True
+    def rec(chosen: int, banned: int, cov: int) -> bool:
+        """Extend chosen (a set of cand indices, none banned) to k rows; cov
+        is the OR of the chosen rows' witness bits."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > MINDEG_MAX_NODES:
+            raise TooLarge(f"mindeg search exceeds its budget of {MINDEG_MAX_NODES} nodes")
+        if cov != every:
+            low = ~cov & every
+            opts = [i for i in witnessed_by[(low & -low).bit_length() - 1]
+                    if not banned >> i & 1]
+            if chosen.bit_count() == k or not opts:
                 return False
-            rest = [i for i in range(ncand) if i not in banned and i not in chosen]
             hit = False
-            for extra in itertools.combinations(rest, k - len(chosen)):
-                masks = sorted(cands[i] for i in chosen | frozenset(extra))
-                if _leaf_ok(hc, masks):
-                    found.append(tuple(masks))
+            for i in opts:
+                if rec(chosen | 1 << i, banned, cov | cand_wit[i]):
                     hit = True
-                    if not collect_all:
+                    if not enumerate_all:
                         return True
+                banned |= 1 << i
             return hit
-
-        rec(frozenset(), frozenset())
+        if chosen.bit_count() == k:
+            return leaf(_bits(chosen))
+        rest = [i for i in range(len(cands)) if not (banned | chosen) >> i & 1]
+        hit = False
+        for extra in itertools.combinations(rest, k - chosen.bit_count()):
+            if leaf(itertools.chain(_bits(chosen), extra)):
+                hit = True
+                if not enumerate_all:
+                    return True
+        return hit
 
     for k in range(hc.rank, len(cands) + 1):
-        search(k, enumerate_all)
+        rec(0, 0, 0)
         if found:
             witnesses = [to_matrix(m) for m in sorted(set(found))]
             for w in witnesses:

@@ -356,6 +356,18 @@ class TestErrorsAndCodes:
         assert code == 1
         assert json.loads(out)["error"] == "TooLarge"
 
+    def test_mindeg_node_budget_is_1(self, capsys, monkeypatch):
+        from boolrep import reps
+
+        _, hc_json = run_main(capsys, ["generate", "uniform", "--a", "3",
+                                       "--b", "8"])
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1000)
+        code, out = run_main(capsys, ["mindeg"], stdin_text=hc_json,
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        data = json.loads(out)
+        assert data["error"] == "TooLarge" and "1000" in data["detail"]
+
     def test_dot_emission(self, tmp_path, capsys, monkeypatch):
         _, hc_json = run_main(capsys, ["generate", "bigex"])
         dot = tmp_path / "h.dot"

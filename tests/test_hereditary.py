@@ -202,6 +202,13 @@ class TestClosure:
                 for c in itertools.combinations(hc.ground, r):
                     assert hc.closure(c) == hc.closure_by_circuits(c)
 
+    def test_label_outside_ground_is_format_error(self):
+        hc = example_bigex()
+        for query in (hc.mask_of, hc.closure, rank_function(hc).of):
+            for labels in (["9"], ["1", 9]):
+                with pytest.raises(FormatError, match="outside ground"):
+                    query(labels)
+
 
 class TestPredicates:
     def test_fourpoints_two_triples_not_matroid(self):

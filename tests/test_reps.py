@@ -655,6 +655,53 @@ class TestMaskKernelOracles:
         assert [mindeg(hc)[0] for hc in ladder] == [6, 9, 12, 4, 3]
 
 
+class TestWitnessTable:
+    """A family represents exactly when its members witness every independent
+    set of two or more points; the chain DP and brute force are the oracles."""
+
+    @pytest.mark.parametrize("hc", [BIGEX, fano(), uniform(3, 5)],
+                             ids=["bigex", "fano", "u35"])
+    def test_coverage_matches_chain_dp(self, hc):
+        wit, every = hc._witnesses
+        outcomes = set()
+        for fam in enumerate_fisfl(hc):
+            cov = 0
+            for z in fam.masks:
+                cov |= wit[z]
+            ok = reps._represents_masks(hc, sorted(fam.masks))
+            assert (cov == every) == ok
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("hc,count", [(BIGEX, 24), (fano(), 7)],
+                             ids=["bigex", "fano"])
+    def test_mindeg_witnesses_match_brute_force(self, hc, count):
+        k, witnesses = mindeg(hc, enumerate_all=True)
+        got = {tuple(sorted(sum(1 << j for j, v in enumerate(row) if not v)
+                            for row in w.rows))
+               for w in witnesses}
+        cands = sorted(m for m in hc._flat_masks if m != hc.full_mask)
+        brute = {rows for rows in itertools.combinations(cands, k)
+                 if _leaf_by_meet_closure(hc, rows)}
+        assert got == brute
+        assert len(got) == count
+
+    def test_mindeg_u39(self):
+        assert mindeg(uniform(3, 9))[0] == 16
+
+    def test_mindeg_node_budget(self, monkeypatch):
+        # U(3,8) takes 23 547 search nodes over k = 3..12
+        hc = uniform(3, 8)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1000)
+        with pytest.raises(TooLarge, match="1000"):
+            mindeg(hc)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 23546)
+        with pytest.raises(TooLarge):
+            mindeg(hc)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 23547)
+        assert mindeg(hc)[0] == 12
+
+
 class TestNoAssertValidation:
     """Checks raise typed errors, so `python -O` cannot strip them."""
 
