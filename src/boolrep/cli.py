@@ -167,10 +167,9 @@ def _rep_report(args, which: str) -> int:
     sji = walk.sji_families()
     chosen = minimal if which == "minimal" else sji
     minset = set(minimal)
-    recs = {f: walk.record(f) for f in sji}  # every minimal family is sji
     families = []
     for f in chosen:
-        rec = recs[f]
+        rec = walk.record(f)
         families.append({
             "family": _subsets_sorted(hc, rec.family.masks),
             "in_im_theta": True,
@@ -179,14 +178,14 @@ def _rep_report(args, which: str) -> int:
             "matrix": rec.matrix.to_text().rstrip("\n").split("\n"),
         })
     md, _ = reps.mindeg(hc)
+    minimal_orbits, sji_orbits = walk.orbit_counts()
     payload = {
         "families": families,
         "counts": {
             "minimal_raw": len(minimal),
-            "minimal_orbits": reps.count_up_to_e_bijection(
-                [recs[f] for f in minimal]),
+            "minimal_orbits": minimal_orbits,
             "sji_raw": len(sji),
-            "sji_orbits": reps.count_up_to_e_bijection(list(recs.values())),
+            "sji_orbits": sji_orbits,
             "mindeg": md,
         },
     }
@@ -343,10 +342,9 @@ def _reproduce_u36(args, checks: list) -> None:
     walk = reps.RepresentationLattice(hc)
     _check(checks, "minimal", 221, len(walk.minimal_families()))
     _check(checks, "sji", 527, len(walk.sji_families()))
-    _check(checks, "minimal orbits", 4, reps.count_up_to_e_bijection(
-        [walk.record(f) for f in walk.minimal_families()]))
-    _check(checks, "sji orbits", 7, reps.count_up_to_e_bijection(
-        [walk.record(f) for f in walk.sji_families()]))
+    minimal_orbits, sji_orbits = walk.orbit_counts()
+    _check(checks, "minimal orbits", 4, minimal_orbits)
+    _check(checks, "sji orbits", 7, sji_orbits)
     _check(checks, "mindeg", 6, reps.mindeg(hc)[0])
     # graph criterion agreement over the full subfamily enumeration
     agree = True

@@ -40,9 +40,10 @@ from .sbcore import BoolMatrix
 def permuted(mask: int, perm: Sequence[int]) -> int:
     """The image of mask when point i goes to point perm[i]."""
     t = 0
-    for i, j in enumerate(perm):
-        if (mask >> i) & 1:
-            t |= 1 << j
+    while mask:
+        low = mask & -mask
+        t |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return t
 
 
@@ -298,10 +299,12 @@ class HereditaryCollection:
     @cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Index permutations p (point i to point p[i]) preserving H; the
-        |E|! sweep runs once per collection, and callers check any cap."""
-        hm = self.h_masks
+        |E|! sweep runs once per collection, and callers check any cap.
+        Only facets are tested: H is downward closed, so p(facets) in H gives
+        p(H) in H, and a bijection of the finite H into itself is onto."""
+        hm, facets = self.h_masks, self._facet_masks
         return tuple(p for p in itertools.permutations(range(len(self.ground)))
-                     if all(permuted(s, p) in hm for s in hm))
+                     if all(permuted(f, p) in hm for f in facets))
 
     # -- predicates -----------------------------------------------------------------
 

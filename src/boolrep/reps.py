@@ -206,10 +206,22 @@ class RepresentationLattice:
     exactly when its members witness every independent set of two or more
     points (`HereditaryCollection._witnesses`), so a child P - {z} of a
     representing P represents unless z is the only member of P witnessing
-    some set: one pass over P's members finds the sets witnessed once.
-    `nchildren` maps each member's key to its number of representing
-    children; `members` and the listing methods give frozensets of point
-    masks, made only for the families they return.
+    some set.  `nchildren` maps each member's key to its number of
+    representing children; `members` and the listing methods give frozensets
+    of point masks, made only for the families they return.
+
+    Each stack entry carries what its popping needs, made from its parent's
+    by removing one member z:
+    - its smi members.  A flat is smi in K iff one of its `avoid` entries
+      misses K: the entry for a point p outside the flat keys its strict
+      supersets that miss p, and the meet of the strict supersets (E among
+      them) differs from the flat iff it holds such a p.  Removing z shrinks
+      only the superset lists of members below z, and a meet over fewer sets
+      can only grow, so the child's smi members are the parent's minus z plus
+      those below z that the test now accepts.
+    - how many members witness each set, as bit planes: plane k holds bit k
+      of each count, so removing z subtracts z's witness bits with a borrow
+      through the planes, and the sets witnessed once are read off directly.
     """
 
     def __init__(self, hc: HereditaryCollection,
@@ -226,28 +238,59 @@ class RepresentationLattice:
         if not is_boolean_representable(hc):
             raise NotRepresentable("the collection has no boolean representation")
         self._bit = bit = {m: 1 << i for i, m in enumerate(flats)}
-        full = hc.full_mask
         wit = hc._witnesses[0]
+        # per flat bit b of a flat z: wit_at[b] is z's witness bits, below[b]
+        # keys the nonempty flats strictly inside z, and avoid[b] holds the
+        # distinct avoid entries of z (E has none, so it is smi in no family)
+        wit_at = {bit[z]: wit[z] for z in flats}
+        below = dict.fromkeys(wit_at, 0)
+        avoid = {}
+        for z, b in bit.items():
+            sup = [(w, c) for w, c in bit.items() if w & z == z and w != z]
+            if z:
+                for _, c in sup:
+                    below[c] |= b
+            avoid[b] = tuple({sum(c for w, c in sup if not w >> p & 1)
+                              for p in _bits(hc.full_mask & ~z)})
         top = (1 << len(flats)) - 1
+        smi_top = sum(b for b, a in avoid.items() if b != bit[0] and not all(a))
+        counts = [sum(w >> x & 1 for w in wit_at.values())
+                  for x in range(hc._witnesses[1].bit_length())]
+        planes_top = tuple(sum(1 << x for x, c in enumerate(counts) if c >> k & 1)
+                           for k in range(max(counts, default=1).bit_length()))
         nchildren = {top: 0}  # every family reached; counts set when popped
-        stack = [top]
+        stack = [(top, smi_top, planes_top)]
         while stack:
-            key = stack.pop()
-            members = self._members(key)
-            seen = twice = 0
-            for z in members:
-                twice |= seen & wit[z]
-                seen |= wit[z]
-            once = seen & ~twice
+            key, smi, planes = stack.pop()
+            many = 0
+            for p in planes[1:]:
+                many |= p
+            once = planes[0] & ~many
             count = 0
-            for z in _smi_masks(members, full):
-                if z == 0 or wit[z] & once:
-                    continue  # fullness keeps the empty set; z is needed
+            rest = smi
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if wit_at[low] & once:
+                    continue  # z is the only witness of some set
                 count += 1
-                child = key ^ bit[z]
+                child = key ^ low
                 if child not in nchildren:
                     nchildren[child] = 0
-                    stack.append(child)
+                    grown = smi ^ low
+                    new = child & below[low] & ~smi
+                    while new:
+                        y = new & -new
+                        new ^= y
+                        for a in avoid[y]:
+                            if not a & child:
+                                grown |= y
+                                break
+                    lower, borrow = [], wit_at[low]
+                    for p in planes:
+                        lower.append(p ^ borrow)
+                        borrow &= ~p
+                    stack.append((child, grown, tuple(lower)))
             nchildren[key] = count
         self.top = frozenset(flats)
         self.nchildren = nchildren
@@ -303,6 +346,19 @@ class RepresentationLattice:
     def mindeg(self) -> int:
         full = self.hc.full_mask
         return min(len(_smi_masks(self._members(k), full)) for k in self.nchildren)
+
+    def orbit_counts(self) -> tuple[int, int]:
+        """(minimal, sji) orbits under the collection's automorphisms.
+
+        The automorphisms permute the members and keep each one's number of
+        children, so every orbit of sji families is all minimal or all not:
+        one expansion over the sji keys counts both."""
+        sji_keys = (k for k, n in self.nchildren.items() if n <= 1)
+        minimal = sji = 0
+        for key in _orbit_starts(sji_keys, _image_bits(self.hc, self.flats)):
+            sji += 1
+            minimal += self.nchildren[key] == 0
+        return minimal, sji
 
 
 def enumerate_im_theta(hc: HereditaryCollection,
@@ -460,40 +516,51 @@ def rowsum_closure(m: BoolMatrix) -> BoolMatrix:
 # -- counting up to ground bijection ------------------------------------------------------
 
 
+def _automorphism_perms(hc: HereditaryCollection) -> tuple[tuple[int, ...], ...]:
+    """hc's automorphisms as index permutations, refused past the cap."""
+    if len(hc.ground) > AUTOMORPHISM_GROUND_CAP:
+        raise TooLarge(f"automorphism sweep capped at |E| <= {AUTOMORPHISM_GROUND_CAP}")
+    return hc._automorphisms
+
+
 def automorphisms(hc: HereditaryCollection) -> list[dict[str, str]]:
     """Ground permutations preserving the independent sets."""
     g = hc.ground
-    if len(g) > AUTOMORPHISM_GROUND_CAP:
-        raise TooLarge(f"automorphism sweep capped at |E| <= {AUTOMORPHISM_GROUND_CAP}")
-    return [{g[i]: g[j] for i, j in enumerate(p)} for p in hc._automorphisms]
+    return [{g[i]: g[j] for i, j in enumerate(p)} for p in _automorphism_perms(hc)]
+
+
+def _image_bits(hc: HereditaryCollection, masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Per automorphism, the bit of each mask's image: masks[i] goes to the
+    mask whose bit is the i-th entry.  Images outside masks get fresh bits, so
+    a family keyed over masks maps to one int under each automorphism."""
+    bit = {z: 1 << i for i, z in enumerate(masks)}
+    return [tuple(bit.setdefault(permuted(z, p), 1 << len(bit)) for z in masks)
+            for p in _automorphism_perms(hc)]
+
+
+def _orbit_starts(keys: Iterable[int], images: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The keys that start a new orbit.  Orbit expansion: the first key of
+    each orbit adds its whole orbit to `seen`, so later keys of that orbit are
+    one lookup each.  This is exact for any key list, invariant under the
+    group or not, and costs |orbits| x |G| family images, not |keys| x |G|."""
+    seen: set[int] = set()
+    for key in keys:
+        if key not in seen:
+            yield key
+            idx = list(_bits(key))
+            seen.update(sum(map(image.__getitem__, idx)) for image in images)
 
 
 def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
-    """Orbits of the records' families under the collection's automorphisms.
-
-    Orbit expansion: the first record of each orbit adds its whole orbit to
-    `seen`, so later records of that orbit are one lookup each.  This is
-    exact for any record list, invariant under the group or not, and costs
-    |orbits| x |G| family images instead of |records| x |G|.
-    """
+    """Orbits of the records' families under the collection's automorphisms."""
     if not records:
         return 0
     hc = records[0].hc
     fams = [_masks_over(hc, rec.family) for rec in records]
-    perms = [[hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
-    # every member mask and each of its images gets one bit, so a family's
-    # image under an automorphism is one int; the tables are built once
-    masks = frozenset().union(*fams)
-    bit = {z: 1 << i for i, z in enumerate(masks)}
-    tables = [{z: bit.setdefault(permuted(z, p), 1 << len(bit)) for z in masks}
-              for p in perms]
-    seen: set[int] = set()
-    count = 0
-    for fam in fams:
-        if sum(map(bit.__getitem__, fam)) not in seen:
-            count += 1
-            seen.update(sum(map(image.__getitem__, fam)) for image in tables)
-    return count
+    masks = sorted(frozenset().union(*fams))
+    bit = {z: 1 << i for i, z in enumerate(masks)}  # as `_image_bits` numbers them
+    keys = (sum(map(bit.__getitem__, fam)) for fam in fams)
+    return sum(1 for _ in _orbit_starts(keys, _image_bits(hc, masks)))
 
 
 # -- matrix-level representation tests ----------------------------------------------------

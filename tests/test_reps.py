@@ -1,7 +1,9 @@
 """Representation lattice: membership, enumeration, minimal/sji, mindeg."""
 
 import ast
+import io
 import itertools
+import json
 import pathlib
 import random
 import sys
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 import boolrep
-from boolrep import hereditary, lattice, reps
+from boolrep import cli, hereditary, lattice, reps
 from boolrep.errors import (
     BoolrepError,
     NotRepresentable,
@@ -21,6 +23,7 @@ from boolrep.hereditary import (
     HereditaryCollection,
     example_bigex,
     example_libourne_matrix,
+    example_truno,
     example_unio,
     fano,
     flat_matrix,
@@ -242,6 +245,13 @@ class TestWalk:
         assert count_up_to_e_bijection(recs_sji) == 7
         assert walk.mindeg() == 6
 
+    def test_u37_counts(self):
+        walk = RepresentationLattice(uniform(3, 7), max_nontrivial=28)
+        assert len(walk) == 134852
+        assert sum(n == 0 for n in walk.nchildren.values()) == 1764
+        assert sum(n <= 1 for n in walk.nchildren.values()) == 4921
+        assert walk.orbit_counts() == (6, 10)
+
     def test_im_theta_stream_sorted(self):
         recs = list(enumerate_im_theta(BIGEX))
         keys = [r.canonical_key() for r in recs]
@@ -418,18 +428,18 @@ class TestAutomorphisms:
         assert count_up_to_e_bijection([top]) == 1
 
 
+def _apply(mask, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if (mask >> i) & 1)
+
+
 def _canonical_orbits(records):
     """Orbit count by canonical keys: a family's key is the least sorted
     tuple of its permuted masks over all automorphisms.  Returns the key of
     each record, so a sublist's count is the number of distinct keys."""
     hc = records[0].hc
     perms = [[hc._gidx[a[g]] for g in hc.ground] for a in automorphisms(hc)]
-
-    def apply(mask, perm):
-        return sum(1 << perm[i] for i in range(len(perm)) if (mask >> i) & 1)
-
     masks = {hc.mask_of(m) for rec in records for m in rec.family.members}
-    tables = [{z: apply(z, perm) for z in masks} for perm in perms]
+    tables = [{z: _apply(z, perm) for z in masks} for perm in perms]
     keys = {}
     for rec in records:
         if rec.family not in keys:
@@ -473,6 +483,37 @@ class TestOrbitOracle:
 
     def test_empty(self):
         assert count_up_to_e_bijection([]) == 0
+
+
+class TestOrbitsFromKeys:
+    """The walk's orbit counts, read from its keys, against orbit expansion
+    over records and the canonical-key count; the facet-only automorphism
+    sweep against the sweep over all of H."""
+
+    @pytest.mark.parametrize("name, counts", [("bigex", (2, 6)), ("fano", (1, 3)),
+                                              ("u36", (4, 7))],
+                             ids=["bigex", "fano", "u36"])
+    def test_matches_record_counts(self, name, counts, request):
+        if name == "u36":
+            walk = request.getfixturevalue("u36_walk")
+        else:
+            walk = RepresentationLattice({"bigex": BIGEX, "fano": fano()}[name])
+        recs = [[walk.record(f) for f in fams]
+                for fams in (walk.minimal_families(), walk.sji_families())]
+        assert walk.orbit_counts() == counts
+        assert tuple(count_up_to_e_bijection(r) for r in recs) == counts
+        assert tuple(len(set(_canonical_orbits(r))) for r in recs) == counts
+
+    @pytest.mark.parametrize("hc", [BIGEX, fano(), uniform(3, 5), uniform(3, 6),
+                                    *example_unio(), union_hc(*example_unio()),
+                                    example_truno()],
+                             ids=["bigex", "fano", "u35", "u36", "unio-j1",
+                                  "unio-j2", "unio-union", "truno"])
+    def test_facet_sweep_matches_full_sweep(self, hc):
+        hm = hc.h_masks
+        full = tuple(p for p in itertools.permutations(range(len(hc.ground)))
+                     if all(_apply(s, p) in hm for s in hm))
+        assert hc._automorphisms == full
 
 
 class TestClassificationOracle:
@@ -524,6 +565,47 @@ class TestChildTestOracle:
                 assert (child in walk.members) == ok
                 outcomes.add(ok)
         assert outcomes == {True, False}
+
+
+class TestWalkCountOracle:
+    """Each member's child count against the quadratic smi scan: the
+    nonempty smi members whose removal leaves a member.  A child is judged
+    by witness coverage, so a child the walk failed to reach also shows."""
+
+    @pytest.mark.parametrize("name", ["bigex", "fano", "u35", "u36"])
+    def test_counts_match_smi_scan(self, name, request):
+        if name == "u36":
+            walk = request.getfixturevalue("u36_walk")
+        else:
+            walk = RepresentationLattice(
+                {"bigex": BIGEX, "fano": fano(), "u35": uniform(3, 5)}[name])
+        full = walk.hc.full_mask
+        wit, every = walk.hc._witnesses
+
+        def covers(fam):
+            cov = 0
+            for z in fam:
+                cov |= wit[z]
+            return cov == every
+
+        for key, n in walk.nchildren.items():
+            fam = walk._family(key)
+            children = [fam - {z} for z in reps._smi_masks(sorted(fam), full) if z]
+            members = [c in walk.members for c in children]
+            assert members == [covers(c) for c in children]
+            assert n == sum(members)
+
+    def test_walk_and_sji_reps_skip_the_scan(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise RuntimeError("the quadratic smi scan ran")
+
+        monkeypatch.setattr(reps, "_smi_masks", refuse)
+        assert len(RepresentationLattice(uniform(3, 6))) == 6275
+        monkeypatch.setattr("sys.stdin", io.StringIO(hereditary.hc_to_json(uniform(3, 6))))
+        assert cli.main(["sji-reps", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"] == {
+            "minimal_raw": 226, "minimal_orbits": 4, "sji_raw": 442,
+            "sji_orbits": 7, "mindeg": 6}
 
 
 class TestMindeg:
