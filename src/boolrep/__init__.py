@@ -9,8 +9,8 @@ from .lattice import FiniteLattice, FlatFamily, VGenLattice, c_independent, \
 from .hereditary import HereditaryCollection, RankFunction, hyperplanes, \
     is_boolean_representable, rank_function, truncation, uniform
 from .reps import RepRecord, RepresentationLattice, count_up_to_e_bijection, \
-    enumerate_fisfl, enumerate_im_theta, is_rowmin, join_families, \
-    matrix_represents, mindeg, minimal_representations, order_le, represents, \
-    rowsum_closure, sji_representations, stack_matrices
+    enumerate_fisfl, is_rowmin, join_families, matrix_represents, mindeg, \
+    minimal_representations, order_le, represents, rowsum_closure, \
+    sji_representations, stack_matrices
 
 __version__ = "0.1.0"

@@ -348,8 +348,7 @@ def _reproduce_u36(args, checks: list) -> None:
     _check(checks, "mindeg", 6, reps.mindeg(hc)[0])
     # graph criterion agreement over the full subfamily enumeration
     agree = True
-    for fam in reps.enumerate_fisfl(hc, max_nontrivial=args.max_flats,
-                                    max_subsets=args.max_subsets):
+    for fam in reps.enumerate_fisfl(hc):
         masks = fam.masks
         singles = sum(1 for i in range(6) if (1 << i) in masks)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)
@@ -475,10 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH",
                    help="also write a DOT diagram where applicable")
     p.add_argument("--max-flats", type=int, default=reps.DEFAULT_MAX_NONTRIVIAL_FLATS,
-                   help="cap on nontrivial flats for representation enumeration "
-                        "(hard refusal past the cap)")
-    p.add_argument("--max-subsets", type=int, default=1 << 22,
-                   help="cap on enumerated subfamilies (hard refusal)")
+                   help="cap on nontrivial flats for the representation walk of "
+                        "minimal-reps and sji-reps (hard refusal past the cap)")
     sub = p.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **kw):

@@ -23,7 +23,6 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
-    BoolrepError,
     EmptyFamily,
     FormatError,
     GroundMismatch,
@@ -32,8 +31,8 @@ from .errors import (
     RankTooSmall,
     TooLarge,
 )
-from .lattice import FlatFamily, VGenLattice, _bits, closure_op, family_matrix, \
-    labels_to_mask, lattice_of_family, mask_order, mask_to_labels, mask_to_list
+from .lattice import FiniteLattice, FlatFamily, VGenLattice, _bits, closure_op, \
+    family_matrix, labels_to_mask, mask_order, mask_to_labels, mask_to_list
 from .sbcore import BoolMatrix
 
 
@@ -203,15 +202,6 @@ class HereditaryCollection:
                         return False
         return True
 
-    def is_flat_by_circuits(self, xs: Iterable[str]) -> bool:
-        """Circuit characterization: no circuit leaves X by a single point."""
-        x = frozenset(xs)
-        for c in self.circuits():
-            extra = c - x
-            if len(extra) == 1:
-                return False
-        return True
-
     @cached_property
     def _flat_masks(self) -> tuple[int, ...]:
         """The sets X that no circuit leaves by a single point.
@@ -262,20 +252,6 @@ class HereditaryCollection:
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest flat containing xs."""
         return self.set_of(self._closure(self.mask_of(xs)))
-
-    def closure_by_circuits(self, xs: Iterable[str]) -> frozenset[str]:
-        """Iterated circuit augmentation; agrees with closure on matroids."""
-        cur = self.mask_of(xs)
-        circ = [self.mask_of(c) for c in self.circuits()]
-        changed = True
-        while changed:
-            changed = False
-            for c in circ:
-                extra = c & ~cur
-                if extra and extra & (extra - 1) == 0:
-                    cur |= extra
-                    changed = True
-        return self.set_of(cur)
 
     # -- circuits -----------------------------------------------------------------
 
@@ -360,15 +336,10 @@ class RankFunction:
         return {g: i for i, g in enumerate(self.ground)}
 
 
-def rank_function(hc: HereditaryCollection, check_submodular: bool = False
-                  ) -> RankFunction:
+def rank_function(hc: HereditaryCollection) -> RankFunction:
     """Max independent-subset size for every subset, by a DP over masks.
 
-    r(X) is |X| for independent X and otherwise the largest r(X - x).  With
-    check_submodular, the local form r(X+a) + r(X+b) >= r(X+a+b) + r(X) is
-    checked for every X and distinct a, b outside X; it is equivalent to
-    submodularity (Schrijver, Combinatorial Optimization, Thm 44.1), which
-    holds exactly for matroids, and a failure raises BoolrepError.
+    r(X) is |X| for independent X and otherwise the largest r(X - x).
     """
     n = len(hc.ground)
     hm = hc.h_masks
@@ -384,12 +355,6 @@ def rank_function(hc: HereditaryCollection, check_submodular: bool = False
                 best = max(best, r[m ^ low])
                 t ^= low
             r[m] = best
-    if check_submodular:
-        for x in range(1 << n):
-            out = [1 << i for i in range(n) if not (x >> i) & 1]
-            for a, b in itertools.combinations(out, 2):
-                if r[x | a] + r[x | b] < r[x | a | b] + r[x]:
-                    raise BoolrepError("submodularity failed")
     return RankFunction(hc.ground, tuple(r))
 
 
@@ -453,24 +418,6 @@ def is_boolean_representable(hc: HereditaryCollection) -> bool:
     return boolean_representability(hc).holds
 
 
-def closure_ordering(hc: HereditaryCollection, xs: Iterable[str]) -> Optional[list[str]]:
-    """An ordering of xs with strictly decreasing closures, if one exists."""
-    x = frozenset(xs)
-
-    def rec(s: frozenset) -> Optional[list]:
-        if len(s) <= 1:
-            return sorted(s)
-        for first in sorted(s):
-            rest = s - {first}
-            if first not in hc.closure(rest):
-                tail = rec(rest)
-                if tail is not None:
-                    return [first] + tail
-        return None
-
-    return rec(x)
-
-
 # -- flat lattice bridge ----------------------------------------------------------
 
 
@@ -479,7 +426,7 @@ def flat_lattice(hc: HereditaryCollection) -> VGenLattice:
     if not hc.is_simple():
         raise NotSimple("the point closures must be the points themselves")
     fam = hc.flats()
-    lat, labels = lattice_of_family(fam)
+    lat, labels = FiniteLattice.from_family(fam.ground, fam.masks)
     gens = tuple(labels[1 << i] for i in range(len(hc.ground)))
     return VGenLattice(lat, gens)
 
@@ -509,20 +456,6 @@ def intersection_hc(a: HereditaryCollection, b: HereditaryCollection) -> Heredit
     if a.ground != b.ground:
         raise GroundMismatch(a.ground, b.ground)
     return HereditaryCollection.from_masks(a.ground, a.h_masks & b.h_masks)
-
-
-def rank3_union_representable_hypothesis(a: HereditaryCollection,
-                                         b: HereditaryCollection) -> bool:
-    """The rank-3 union theorem's hypothesis: when it holds, the union must test
-    representable (asserted by the callers' tests, not here)."""
-    if a.ground != b.ground:
-        raise GroundMismatch(a.ground, b.ground)
-    for hc in (a, b):
-        if hc.rank != 3 or not hc.is_simple() or not is_boolean_representable(hc):
-            return False
-        if any(m.bit_count() > 3 for m in hc._flat_masks if m != hc.full_mask):
-            return False
-    return True
 
 
 def is_paving(hc: HereditaryCollection) -> bool:

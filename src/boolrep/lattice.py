@@ -478,21 +478,17 @@ def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]
     return FlatFamily.from_masks(ground, frozenset(members)), y
 
 
-def lattice_of_family(fam: FlatFamily) -> tuple[FiniteLattice, dict[int, str]]:
-    """(FiniteLattice ordered by inclusion, member mask -> label map)."""
-    return FiniteLattice.from_family(fam.ground, fam.masks)
+def generated_lattice(fam: FlatFamily) -> VGenLattice:
+    """fam ordered by inclusion, join-generated by the closures of its
+    ground's points (each once, in ground order)."""
+    lat, labels = FiniteLattice.from_family(fam.ground, fam.masks)
+    gens = dict.fromkeys(labels[fam._closure(1 << j)] for j in range(len(fam.ground)))
+    return VGenLattice(lat, tuple(gens))
 
 
 def lattice_from_matrix(m: BoolMatrix) -> VGenLattice:
     """The flat lattice of m, join-generated by the column flats."""
-    fam, _ = flats_of_matrix(m)
-    lat, labels = lattice_of_family(fam)
-    gens = []
-    for j in range(len(m.col_labels)):
-        lbl = labels[fam._closure(1 << j)]  # the column flat of j
-        if lbl not in gens:
-            gens.append(lbl)
-    return VGenLattice(lat, tuple(gens))
+    return generated_lattice(flats_of_matrix(m)[0])
 
 
 # -- c-independence --------------------------------------------------------------

@@ -39,7 +39,7 @@ from .lattice import (
     closure_op,
     family_matrix,
     flat_label,
-    lattice_of_family,
+    generated_lattice,
     mask_label,
 )
 from .sbcore import BoolMatrix, witness_for_mask
@@ -47,6 +47,7 @@ from .sbcore import BoolMatrix, witness_for_mask
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
 MINDEG_MAX_NODES = 10_000_000
+FISFL_MAX_SUBSETS = 1 << 22
 ROWSUM_MAX_ROWS = 4096
 
 
@@ -131,13 +132,7 @@ class RepRecord:
 
     @cached_property
     def lattice(self) -> VGenLattice:
-        lat, labels = lattice_of_family(self.family)
-        gens = []
-        for i in range(len(self.hc.ground)):
-            lbl = labels[self.family._closure(1 << i)]
-            if lbl not in gens:
-                gens.append(lbl)
-        return VGenLattice(lat, tuple(gens))
+        return generated_lattice(self.family)
 
     @cached_property
     def matrix(self) -> BoolMatrix:
@@ -158,9 +153,6 @@ class RepRecord:
     @property
     def degree(self) -> int:
         return len(self.smi_rows)
-
-    def canonical_key(self) -> tuple:
-        return _canon(self.family.masks)
 
 
 def order_le(r1: RepRecord, r2: RepRecord) -> bool:
@@ -343,10 +335,6 @@ class RepresentationLattice:
     def record(self, fam: frozenset[int]) -> RepRecord:
         return RepRecord(self.hc, FlatFamily.unchecked(self.hc.ground, fam))
 
-    def mindeg(self) -> int:
-        full = self.hc.full_mask
-        return min(len(_smi_masks(self._members(k), full)) for k in self.nchildren)
-
     def orbit_counts(self) -> tuple[int, int]:
         """(minimal, sji) orbits under the collection's automorphisms.
 
@@ -359,14 +347,6 @@ class RepresentationLattice:
             sji += 1
             minimal += self.nchildren[key] == 0
         return minimal, sji
-
-
-def enumerate_im_theta(hc: HereditaryCollection,
-                       max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS
-                       ) -> Iterator[RepRecord]:
-    walk = RepresentationLattice(hc, max_nontrivial=max_nontrivial)
-    for fam in walk.sorted_families():
-        yield walk.record(fam)
 
 
 def minimal_representations(hc: HereditaryCollection,
@@ -415,25 +395,21 @@ def _fisfl_masks(nontrivial: Sequence[int]) -> Iterator[frozenset[int]]:
     yield from dfs(0, frozenset(), frozenset())
 
 
-def enumerate_fisfl(hc: HereditaryCollection,
-                    max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
-                    max_subsets: int = 1 << 22) -> Iterator[FlatFamily]:
+def enumerate_fisfl(hc: HereditaryCollection) -> Iterator[FlatFamily]:
     """All full intersection-closed subfamilies of the flats, streamed in DFS
     order: each family is yielded as the DFS of `_fisfl_masks` reaches it
     (nontrivial flats by decreasing size, a flat's exclusion branch before
     its inclusion branch).  Callers that need an order sort for themselves.
+    More than FISFL_MAX_SUBSETS candidate subsets raise TooLarge.
     """
     if not hc.is_simple():
         raise NotSimple("subfamily enumeration needs a simple collection")
     full = hc.full_mask
     nontrivial = sorted((m for m in hc._flat_masks if m not in (0, full)),
                         key=lambda m: (-m.bit_count(), m))
-    if len(nontrivial) > max_nontrivial:
+    if 1 << len(nontrivial) > FISFL_MAX_SUBSETS:
         raise TooLarge(
-            f"{len(nontrivial)} nontrivial flats exceed the cap {max_nontrivial}")
-    if 1 << len(nontrivial) > max_subsets:
-        raise TooLarge(
-            f"2^{len(nontrivial)} candidate subsets exceed the cap {max_subsets}")
+            f"2^{len(nontrivial)} candidate subsets exceed the cap {FISFL_MAX_SUBSETS}")
     trivial = frozenset((0, full))
     for f in _fisfl_masks(nontrivial):
         yield FlatFamily.unchecked(hc.ground, f | trivial)

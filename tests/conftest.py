@@ -13,8 +13,10 @@ import itertools
 import random
 from functools import lru_cache
 
+from boolrep.errors import BoolrepError, GroundMismatch
 from boolrep.lattice import FiniteLattice, VGenLattice
-from boolrep.hereditary import HereditaryCollection
+from boolrep.hereditary import HereditaryCollection, is_boolean_representable
+from boolrep.reps import _smi_masks
 from boolrep.sbcore import SB, BoolMatrix
 
 
@@ -356,3 +358,90 @@ def all_hcs(n: int) -> tuple:
 
     rec(0, set())
     return tuple(out)
+
+
+# -- definitional oracles for the library's flats, closure, rank and walk ----------------
+
+
+def is_flat_by_circuits(hc: HereditaryCollection, xs) -> bool:
+    """Circuit characterization: no circuit leaves X by a single point."""
+    x = frozenset(xs)
+    for c in hc.circuits():
+        extra = c - x
+        if len(extra) == 1:
+            return False
+    return True
+
+
+def closure_by_circuits(hc: HereditaryCollection, xs) -> frozenset:
+    """Iterated circuit augmentation; agrees with closure on matroids."""
+    cur = hc.mask_of(xs)
+    circ = [hc.mask_of(c) for c in hc.circuits()]
+    changed = True
+    while changed:
+        changed = False
+        for c in circ:
+            extra = c & ~cur
+            if extra and extra & (extra - 1) == 0:
+                cur |= extra
+                changed = True
+    return hc.set_of(cur)
+
+
+def closure_ordering(hc: HereditaryCollection, xs):
+    """An ordering of xs with strictly decreasing closures, if one exists."""
+    x = frozenset(xs)
+
+    def rec(s: frozenset):
+        if len(s) <= 1:
+            return sorted(s)
+        for first in sorted(s):
+            rest = s - {first}
+            if first not in hc.closure(rest):
+                tail = rec(rest)
+                if tail is not None:
+                    return [first] + tail
+        return None
+
+    return rec(x)
+
+
+def rank3_union_representable_hypothesis(a: HereditaryCollection,
+                                         b: HereditaryCollection) -> bool:
+    """The rank-3 union theorem's hypothesis: when it holds, the union must test
+    representable (asserted by the callers' tests, not here)."""
+    if a.ground != b.ground:
+        raise GroundMismatch(a.ground, b.ground)
+    for hc in (a, b):
+        if hc.rank != 3 or not hc.is_simple() or not is_boolean_representable(hc):
+            return False
+        if any(m.bit_count() > 3 for m in hc._flat_masks if m != hc.full_mask):
+            return False
+    return True
+
+
+def full_sweep_fails(r, n):
+    """The 4^|E| submodularity sweep over a mask-indexed rank table."""
+    return any(r[x] + r[y] < r[x | y] + r[x & y]
+               for x in range(1 << n) for y in range(1 << n))
+
+
+def check_submodular(rf):
+    """The local form r(X+a) + r(X+b) >= r(X+a+b) + r(X), for every X and
+    distinct a, b outside X, in 2^|E|·|E|² steps; it is equivalent to
+    submodularity (Schrijver, Combinatorial Optimization, Thm 44.1), which
+    holds exactly for matroids.  A failure raises BoolrepError; returns rf."""
+    r, n = rf.table, len(rf.ground)
+    for x in range(1 << n):
+        out = [1 << i for i in range(n) if not (x >> i) & 1]
+        for a, b in itertools.combinations(out, 2):
+            if r[x | a] + r[x | b] < r[x | a | b] + r[x]:
+                raise BoolrepError("submodularity failed")
+    return rf
+
+
+def min_smi_degree(walk) -> int:
+    """The fewest smi members of any family the walk reached: the oracle for
+    reps.mindeg."""
+    full = walk.hc.full_mask
+    return min(len(_smi_masks(walk._members(k), full)) for k in walk.nchildren)

@@ -17,7 +17,6 @@ from boolrep.errors import (
 from boolrep.hereditary import (
     HereditaryCollection,
     boolean_representability,
-    closure_ordering,
     example_bigex,
     example_truno,
     example_unio,
@@ -31,7 +30,6 @@ from boolrep.hereditary import (
     is_boolean_representable,
     is_paving,
     paving_representable,
-    rank3_union_representable_hypothesis,
     rank_function,
     truncation,
     uniform,
@@ -39,17 +37,23 @@ from boolrep.hereditary import (
 )
 from boolrep.lattice import matrix_of
 from boolrep.sbcore import columns_independent
-from conftest import all_hcs, all_simple_hcs, fs, random_hc, random_simple_hc
+from conftest import (
+    all_hcs,
+    all_simple_hcs,
+    check_submodular,
+    closure_by_circuits,
+    closure_ordering,
+    fs,
+    full_sweep_fails,
+    is_flat_by_circuits,
+    random_hc,
+    random_simple_hc,
+    rank3_union_representable_hypothesis,
+)
 
 
 def triples(*ts):
     return [frozenset(t) for t in ts]
-
-
-def full_sweep_fails(r, n):
-    """The 4^|E| submodularity sweep over a mask-indexed rank table."""
-    return any(r[x] + r[y] < r[x | y] + r[x & y]
-               for x in range(1 << n) for y in range(1 << n))
 
 
 def paving_clauses(hc):
@@ -145,7 +149,7 @@ class TestFlats:
             hc = random_hc(rng, 5)
             for r in range(6):
                 for c in itertools.combinations(hc.ground, r):
-                    assert hc.is_flat(c) == hc.is_flat_by_circuits(c)
+                    assert hc.is_flat(c) == is_flat_by_circuits(hc, c)
 
     def test_flat_family_is_closed(self):
         rng = random.Random(42)
@@ -200,7 +204,7 @@ class TestClosure:
             found += 1
             for r in range(5):
                 for c in itertools.combinations(hc.ground, r):
-                    assert hc.closure(c) == hc.closure_by_circuits(c)
+                    assert hc.closure(c) == closure_by_circuits(hc, c)
 
     def test_label_outside_ground_is_format_error(self):
         hc = example_bigex()
@@ -265,7 +269,7 @@ class TestRank:
         rng = random.Random(61)
         for _ in range(15):
             hc = random_hc(rng, 4)
-            rf = rank_function(hc, check_submodular=False)
+            rf = rank_function(hc)
             sets = [frozenset(c) for r in range(5)
                     for c in itertools.combinations(hc.ground, r)]
             for x in sets:
@@ -279,7 +283,7 @@ class TestRank:
         rng = random.Random(20121030)
         for _ in range(10):
             hc = random_hc(rng, 5)
-            rf = rank_function(hc, check_submodular=False)
+            rf = rank_function(hc)
             for r in range(6):
                 for c in itertools.combinations(hc.ground, r):
                     best = max(len(s) for s in hc.independents if s <= frozenset(c))
@@ -287,8 +291,8 @@ class TestRank:
             assert rf.rank == hc.rank
 
     def test_submodularity_on_matroids(self):
-        rank_function(uniform(2, 4), check_submodular=True)
-        rank_function(example_bigex(), check_submodular=True)
+        check_submodular(rank_function(uniform(2, 4)))
+        check_submodular(rank_function(example_bigex()))
 
     def test_table_axioms_random(self):
         # what downward closure guarantees of the DP, recomputed by definition
@@ -319,9 +323,9 @@ class TestRank:
             fails = full_sweep_fails(rank_function(hc).table, len(hc.ground))
             if fails:
                 with pytest.raises(BoolrepError, match="submodularity"):
-                    rank_function(hc, check_submodular=True)
+                    check_submodular(rank_function(hc))
             else:
-                assert rank_function(hc, check_submodular=True).rank == hc.rank
+                assert check_submodular(rank_function(hc)).rank == hc.rank
             assert fails == (not hc.is_matroid())
             outcomes.add(fails)
         assert outcomes == {True, False}
@@ -339,7 +343,7 @@ class TestRank:
         for hc in all_simple_hcs(4):
             if not is_boolean_representable(hc):
                 continue
-            rf = rank_function(hc, check_submodular=False)
+            rf = rank_function(hc)
             for r in range(5):
                 for c in itertools.combinations(hc.ground, r):
                     best = max(
@@ -505,7 +509,7 @@ class TestExhaustiveSmallGround:
         for hc in hcs:
             for r in range(5):
                 for c in itertools.combinations(hc.ground, r):
-                    assert hc.is_flat(c) == hc.is_flat_by_circuits(c)
+                    assert hc.is_flat(c) == is_flat_by_circuits(hc, c)
 
     def test_representable_implies_pr_five_points(self):
         from conftest import all_simple_hcs

@@ -30,13 +30,13 @@ from boolrep.hereditary import (
     uniform,
     union_hc,
 )
-from boolrep.lattice import FlatFamily, congruent, flats_of_matrix, matrix_of
+from boolrep.lattice import FlatFamily, congruent, flats_of_matrix, \
+    lattice_from_matrix, matrix_of
 from boolrep.reps import (
     RepresentationLattice,
     automorphisms,
     count_up_to_e_bijection,
     enumerate_fisfl,
-    enumerate_im_theta,
     is_rowmin,
     join_families,
     matrix_represents,
@@ -50,7 +50,7 @@ from boolrep.reps import (
     stack_matrices,
 )
 from boolrep.sbcore import BoolMatrix, columns_independent
-from conftest import fs
+from conftest import closure_ordering, fs, min_smi_degree
 
 
 def family(hc, *sets):
@@ -144,9 +144,13 @@ class TestEnumerateFisfl:
             assert (cond1 or cond2) == (f in walk)
         assert n == 143
 
-    def test_cap(self):
-        with pytest.raises(TooLarge):
-            list(enumerate_fisfl(uniform(3, 6), max_nontrivial=10))
+    def test_cap(self, monkeypatch):
+        # U(3,6) has 21 nontrivial flats: 2^21 candidate subsets
+        monkeypatch.setattr(reps, "FISFL_MAX_SUBSETS", 1 << 20)
+        with pytest.raises(TooLarge, match=r"2\^21 candidate subsets"):
+            next(enumerate_fisfl(uniform(3, 6)))
+        monkeypatch.setattr(reps, "FISFL_MAX_SUBSETS", 1 << 21)
+        assert isinstance(next(enumerate_fisfl(uniform(3, 6))), FlatFamily)
 
     @pytest.mark.parametrize("hc,count", [(BIGEX, 143), (fano(), 3_552),
                                           (uniform(3, 5), 4_945)],
@@ -243,7 +247,7 @@ class TestWalk:
         recs_sji = [walk.record(f) for f in sji]
         assert count_up_to_e_bijection(recs_min) == 4
         assert count_up_to_e_bijection(recs_sji) == 7
-        assert walk.mindeg() == 6
+        assert min_smi_degree(walk) == 6
 
     def test_u37_counts(self):
         walk = RepresentationLattice(uniform(3, 7), max_nontrivial=28)
@@ -253,10 +257,10 @@ class TestWalk:
         assert walk.orbit_counts() == (6, 10)
 
     def test_im_theta_stream_sorted(self):
-        recs = list(enumerate_im_theta(BIGEX))
-        keys = [r.canonical_key() for r in recs]
+        fams = RepresentationLattice(BIGEX).sorted_families()
+        keys = [tuple(sorted(f)) for f in fams]  # the _canon order
         assert keys == sorted(keys)
-        assert len(recs) == 65
+        assert len(fams) == 65
 
 
 def _brute_represents(hc, f):
@@ -278,6 +282,20 @@ class TestRecords:
         rec = walk.record(walk.sorted_families()[0])
         m = matrix_of(rec.lattice)
         assert congruent(m, rec.matrix)
+
+    @pytest.mark.parametrize("hc,count", [(BIGEX, 24), (fano(), 35)],
+                             ids=["bigex", "fano"])
+    def test_record_lattice_is_its_matrix_lattice(self, hc, count):
+        # the lattice generated by a record's family and the flat lattice of
+        # its matrix have the same labels, down-sets and generators
+        walk = RepresentationLattice(hc)
+        sji = walk.sji_families()
+        assert len(sji) == count
+        for f in sji:
+            rec = walk.record(f)
+            a, b = lattice_from_matrix(rec.matrix), rec.lattice
+            assert (a.lattice.labels, a.lattice.down, a.gens) == \
+                (b.lattice.labels, b.lattice.down, b.gens)
 
     def test_smi_rows_bigex_witness(self):
         f = family(BIGEX, E4, "14", "24", "4", "")
@@ -631,7 +649,7 @@ class TestMindeg:
     def test_mindeg_equals_min_smi_degree(self):
         for hc in (BIGEX, fano()):
             walk = RepresentationLattice(hc)
-            assert mindeg(hc)[0] == walk.mindeg()
+            assert mindeg(hc)[0] == min_smi_degree(walk)
 
     def test_not_representable_raises(self):
         with pytest.raises(NotRepresentable):
@@ -850,8 +868,6 @@ class TestThreeWayClosureEquivalence:
         # for a representable collection and each representing family,
         # membership in H, a decreasing chain of family closures, and a
         # decreasing chain of flat closures are all equivalent
-        from boolrep.hereditary import closure_ordering
-
         hc = BIGEX
         walk = RepresentationLattice(hc)
 
