@@ -42,7 +42,7 @@ from .lattice import (
     generated_lattice,
     mask_label,
 )
-from .sbcore import BoolMatrix, witness_for_mask
+from .sbcore import BoolMatrix, _peel
 
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
@@ -543,17 +543,16 @@ def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
 
 
 def matrix_represents(hc: HereditaryCollection, m: BoolMatrix) -> bool:
-    """Witness check: members of H independent, circuits dependent.
+    """Witness check: facets of H independent, circuits dependent.
 
     Dependence is upward closed and independence downward closed, so checking
-    H and the circuits covers every subset of E.
+    the facets and the circuits covers every subset of E.
     """
     if tuple(m.col_labels) != tuple(hc.ground):
         raise GroundMismatch(m.col_labels, hc.ground)
-    for s in sorted(hc.h_masks, key=int.bit_count, reverse=True):
-        if witness_for_mask(m, s) is None:
-            return False
-    return all(witness_for_mask(m, c) is None for c in hc._circuit_masks)
+    masks = m.ones_masks
+    return (all(_peel(masks, f) for f in hc._facet_masks)
+            and not any(_peel(masks, c) for c in hc._circuit_masks))
 
 
 def is_rowmin(hc: HereditaryCollection, m: BoolMatrix) -> bool:

@@ -7,7 +7,8 @@ nonsingular when its permanent is exactly 1, equivalently when independent row
 and column permutations put it into lower triangular form with unit diagonal
 and zeros strictly above.  A column subset J of a rectangular matrix is
 independent when some equipotent row subset I makes M[I,J] nonsingular; such
-an I is a witness for J.
+an I is a witness for J.  Both tests are one greedy marker peel over row
+bitmasks (`_peel`), with no backtracking: O(|J| * rows) row visits.
 """
 
 from __future__ import annotations
@@ -122,13 +123,6 @@ class BoolMatrix:
 
     # -- derived matrices ------------------------------------------------------
 
-    def transpose(self) -> "BoolMatrix":
-        return BoolMatrix(
-            tuple(zip(*self.rows)) if self.rows else (),
-            self.row_labels,
-            self.col_labels,
-        )
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
         return BoolMatrix(
             tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx),
@@ -210,19 +204,6 @@ class Witness:
     def cols(self) -> frozenset[int]:
         return frozenset(self.col_order)
 
-    def verify(self, m: BoolMatrix) -> bool:
-        """Literal triangular-form predicate on the ordered submatrix."""
-        if len(self.row_order) != len(self.col_order):
-            return False
-        k = len(self.row_order)
-        for a in range(k):
-            r = m.rows[self.row_order[a]]
-            if r[self.col_order[a]] != 1:
-                return False
-            if any(r[self.col_order[b]] != 0 for b in range(a + 1, k)):
-                return False
-        return True
-
 
 # -- permanent ----------------------------------------------------------------
 
@@ -263,39 +244,52 @@ def permanent(m: BoolMatrix) -> SB:
     return SB(total)
 
 
-# -- nonsingularity via marker peeling -----------------------------------------
+# -- marker peeling -------------------------------------------------------------
+
+
+def _peel(masks: Sequence[int], cols: int, order: Optional[list] = None) -> bool:
+    """Greedy marker peel: is the column mask `cols` independent over these rows?
+
+    Repeatedly take the first row whose AND with the remaining columns is a
+    single bit (a marker row) and clear that bit; fail when no row qualifies.
+    A peeled row is zero on what remains, so no row is taken twice, and the
+    cost is at most |cols| passes over the rows.  When `order` is given, each
+    step appends (row mask, column bit) to it.
+    """
+    while cols:
+        for r in masks:
+            rest = r & cols
+            if rest and not rest & (rest - 1):
+                cols ^= rest
+                if order is not None:
+                    order.append((r, rest))
+                break
+        else:
+            return False
+    return True
+
+
+def _col_mask(m: BoolMatrix, cols: Iterable[str]) -> int:
+    index = m._col_index
+    target = 0
+    for c in cols:
+        try:
+            target |= 1 << index[c]
+        except KeyError:
+            raise UnknownColumn(c) from None
+    return target
 
 
 def triangular_certificate(m: BoolMatrix) -> Optional[Witness]:
     """Marker-peel a square matrix into triangular form.
 
-    Repeatedly take the lowest-indexed remaining row with exactly one 1 on
-    the remaining columns; that row and its column become the next diagonal
-    position.  Succeeds iff the matrix is nonsingular.
+    Peeling preserves the permanent, so it succeeds iff the matrix is
+    nonsingular; the certificate is the peel order of all the columns.
     """
     n = m.n_rows
     if n != m.n_cols:
         raise DimensionError(f"nonsingularity needs a square matrix, got {n}x{m.n_cols}")
-    masks = list(m.ones_masks)
-    avail_rows = list(range(n))
-    col_mask = (1 << n) - 1
-    row_order: list[int] = []
-    col_order: list[int] = []
-    for _ in range(n):
-        pick = -1
-        for i in avail_rows:
-            rest = masks[i] & col_mask
-            if rest and rest & (rest - 1) == 0:
-                pick = i
-                break
-        if pick < 0:
-            return None
-        bit = masks[pick] & col_mask
-        row_order.append(pick)
-        col_order.append(bit.bit_length() - 1)
-        avail_rows.remove(pick)
-        col_mask &= ~bit
-    return Witness(tuple(row_order), tuple(col_order))
+    return witness_for_mask(m, (1 << n) - 1)
 
 
 def is_nonsingular(m: BoolMatrix) -> bool:
@@ -306,50 +300,32 @@ def is_nonsingular(m: BoolMatrix) -> bool:
 
 
 def witness_for(m: BoolMatrix, cols: Iterable[str]) -> Optional[Witness]:
-    """Search a witness for the given column labels, or None.
+    """The greedy peel's witness for the given column labels, or None.
 
-    Backtracking over marker rows: any witness's first row has exactly one 1
-    on the remaining columns, so branching over all such rows is complete.
-    Ties break to the lowest row index, giving deterministic certificates.
+    The peel is complete.  If J is independent and row r has a single 1 on J,
+    at column c, then J - c is independent (independence is closed downward)
+    and any witness of J - c avoids r, which is zero on J - c; r followed by
+    that witness is a witness of J.  So any marker row can be peeled without
+    losing a witness.  Ties break to the lowest row index, giving
+    deterministic certificates.
     """
-    return witness_for_mask(m, sum({1 << m.col_index(c) for c in cols}))
+    return witness_for_mask(m, _col_mask(m, cols))
 
 
 def witness_for_mask(m: BoolMatrix, target: int) -> Optional[Witness]:
     """witness_for the columns j whose bits are set in target."""
-    k = target.bit_count()
-    if k == 0:
-        return Witness((), ())
-    if k > m.n_rows:
-        return None
     masks = m.ones_masks
-
-    row_order: list[int] = []
-    col_order: list[int] = []
-
-    def rec(col_mask: int, used_rows: int) -> bool:
-        if col_mask == 0:
-            return True
-        for i in range(m.n_rows):
-            if (used_rows >> i) & 1:
-                continue
-            rest = masks[i] & col_mask
-            if rest and rest & (rest - 1) == 0:
-                row_order.append(i)
-                col_order.append(rest.bit_length() - 1)
-                if rec(col_mask & ~rest, used_rows | (1 << i)):
-                    return True
-                row_order.pop()
-                col_order.pop()
-        return False
-
-    if rec(target, 0):
-        return Witness(tuple(row_order), tuple(col_order))
-    return None
+    order: list[tuple[int, int]] = []
+    if not _peel(masks, target, order):
+        return None
+    # An earlier row with the same mask would have been peeled instead, so
+    # each peeled row is the first row holding its mask.
+    return Witness(tuple(masks.index(r) for r, _ in order),
+                   tuple(bit.bit_length() - 1 for _, bit in order))
 
 
 def columns_independent(m: BoolMatrix, cols: Iterable[str]) -> bool:
-    return witness_for(m, cols) is not None
+    return _peel(m.ones_masks, _col_mask(m, cols))
 
 
 def matrix_rank(m: BoolMatrix) -> int:
@@ -359,16 +335,14 @@ def matrix_rank(m: BoolMatrix) -> int:
     the top is the rank; a greedy pass first raises the lower cutoff so small
     matrices exit early.
     """
-    labels = m.col_labels
-    # greedy lower bound
-    current: list[str] = []
-    for c in labels:
-        if columns_independent(m, current + [c]):
-            current.append(c)
-    lo = len(current)
-    hi = min(m.n_rows, m.n_cols)
-    for k in range(hi, lo, -1):
-        for combo in itertools.combinations(labels, k):
-            if columns_independent(m, combo):
+    masks = m.ones_masks
+    current = 0
+    for j in range(m.n_cols):
+        if _peel(masks, current | 1 << j):
+            current |= 1 << j
+    lo = current.bit_count()
+    for k in range(min(m.n_rows, m.n_cols), lo, -1):
+        for combo in itertools.combinations(range(m.n_cols), k):
+            if _peel(masks, sum(1 << j for j in combo)):
                 return k
     return lo

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from typing import Optional
 
 from boolrep.errors import BoolrepError, GroundMismatch
 from boolrep.lattice import FiniteLattice, VGenLattice
 from boolrep.hereditary import HereditaryCollection, is_boolean_representable
 from boolrep.reps import _smi_masks
-from boolrep.sbcore import SB, BoolMatrix
+from boolrep.sbcore import SB, BoolMatrix, Witness
 
 
 def fs(*items):
@@ -333,6 +334,63 @@ def independent_oracle(m: BoolMatrix, cols) -> bool:
         if permanent_oracle(sub) is SB.ONE:
             return True
     return False
+
+
+def witness_by_backtracking(m: BoolMatrix, target: int) -> Optional[Witness]:
+    """Witness search that backtracks over every marker row at every depth,
+    so it tries every peel order and is exponential on dependent sets.  The
+    oracle for sbcore.witness_for_mask's certificates."""
+    k = target.bit_count()
+    if k == 0:
+        return Witness((), ())
+    if k > m.n_rows:
+        return None
+    masks = m.ones_masks
+
+    row_order: list[int] = []
+    col_order: list[int] = []
+
+    def rec(col_mask: int, used_rows: int) -> bool:
+        if col_mask == 0:
+            return True
+        for i in range(m.n_rows):
+            if (used_rows >> i) & 1:
+                continue
+            rest = masks[i] & col_mask
+            if rest and rest & (rest - 1) == 0:
+                row_order.append(i)
+                col_order.append(rest.bit_length() - 1)
+                if rec(col_mask & ~rest, used_rows | (1 << i)):
+                    return True
+                row_order.pop()
+                col_order.pop()
+        return False
+
+    if rec(target, 0):
+        return Witness(tuple(row_order), tuple(col_order))
+    return None
+
+
+def witness_verifies(w: Witness, m: BoolMatrix) -> bool:
+    """Literal triangular-form predicate on the ordered submatrix."""
+    if len(w.row_order) != len(w.col_order):
+        return False
+    k = len(w.row_order)
+    for a in range(k):
+        r = m.rows[w.row_order[a]]
+        if r[w.col_order[a]] != 1:
+            return False
+        if any(r[w.col_order[b]] != 0 for b in range(a + 1, k)):
+            return False
+    return True
+
+
+def transpose(m: BoolMatrix) -> BoolMatrix:
+    return BoolMatrix(
+        tuple(zip(*m.rows)) if m.rows else (),
+        m.row_labels,
+        m.col_labels,
+    )
 
 
 @lru_cache(maxsize=None)

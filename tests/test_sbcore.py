@@ -16,8 +16,16 @@ from boolrep.sbcore import (
     permanent,
     triangular_certificate,
     witness_for,
+    witness_for_mask,
+    _peel,
 )
-from conftest import independent_oracle, permanent_oracle
+from conftest import (
+    independent_oracle,
+    permanent_oracle,
+    transpose,
+    witness_by_backtracking,
+    witness_verifies,
+)
 
 
 def M(rows, cols=None):
@@ -87,7 +95,7 @@ class TestNonsingular:
         m = M([[1, 1, 0], [1, 1, 1], [0, 1, 0]])
         w = triangular_certificate(m)
         if w is not None:
-            assert w.verify(m)
+            assert witness_verifies(w, m)
 
     def test_agrees_with_permanent_random_4x4(self):
         rng = random.Random(401)
@@ -103,7 +111,7 @@ class TestNonsingular:
             w = triangular_certificate(m)
             assert (w is not None) == (permanent(m) is SB.ONE)
             if w is not None:
-                assert w.verify(m)
+                assert witness_verifies(w, m)
 
 
 LIB = M([[1, 0, 1, 1], [0, 1, 1, 0], [0, 0, 0, 1]], ["1", "2", "3", "4"])
@@ -113,7 +121,7 @@ class TestColumnsIndependent:
     def test_worked_example_independent_set(self):
         assert columns_independent(LIB, ("1", "2", "4"))
         w = witness_for(LIB, ("1", "2", "4"))
-        assert w.verify(LIB)
+        assert witness_verifies(w, LIB)
 
     def test_worked_example_dependent_set(self):
         assert not columns_independent(LIB, ("1", "2", "3"))
@@ -142,14 +150,53 @@ class TestColumnsIndependent:
 
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(1234)
-        for _ in range(60):
-            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        for max_rows in (4, 7):  # square-ish, then tall
+            for _ in range(60):
+                nr, nc = rng.randint(1, max_rows), rng.randint(1, 4)
+                rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
+                m = M(rows)
+                for k in range(0, nc + 1):
+                    for combo in itertools.combinations(m.col_labels, k):
+                        assert columns_independent(m, combo) == \
+                            independent_oracle(m, combo), (rows, combo)
+
+    def test_greedy_matches_backtracking(self):
+        # Same certificate, or the same None, as the exhaustive search; the
+        # bool path agrees with the certificate path.
+        rng = random.Random(1406)
+        for _ in range(150):
+            nr, nc = rng.randint(1, 10), rng.randint(1, 6)
             rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
             m = M(rows)
-            for k in range(0, nc + 1):
-                for combo in itertools.combinations(m.col_labels, k):
-                    assert columns_independent(m, combo) == \
-                        independent_oracle(m, combo), (rows, combo)
+            for target in range(1 << nc):
+                w = witness_for_mask(m, target)
+                assert w == witness_by_backtracking(m, target), (rows, target)
+                labels = [m.col_labels[j] for j in range(nc) if target >> j & 1]
+                assert columns_independent(m, labels) == (w is not None)
+
+    def test_peel_visits_are_linear(self):
+        # e0..e9 each twice, 11 columns: dependent, since column 10 is zero.
+        # Backtracking tries every peel order here; the greedy peel visits at
+        # most |J| * rows rows.  The count fails the test as soon as it is
+        # passed, so a search that backtracks fails instead of running on.
+        k = 10
+        m = M([[int(j == i) for j in range(k + 1)] for i in range(k) for _ in (0, 1)])
+        bound = (k + 1) * m.n_rows
+
+        class CountingRows(list):
+            visits = 0
+
+            def __iter__(self):
+                for r in list.__iter__(self):
+                    self.visits += 1
+                    assert self.visits <= bound, "the peel backtracks"
+                    yield r
+
+        rows = CountingRows(m.ones_masks)
+        assert not _peel(rows, (1 << (k + 1)) - 1)
+        assert rows.visits > 0
+        assert witness_for(m, m.col_labels) is None
+        assert witness_for(m, m.col_labels[:k]) is not None
 
     def test_deterministic_certificate(self):
         w1 = witness_for(LIB, ("1", "2", "4"))
@@ -164,13 +211,24 @@ class TestRank:
     def test_worked_example(self):
         assert matrix_rank(LIB) == 3
 
+    def test_matches_bruteforce_maximum(self):
+        rng = random.Random(909)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
+            m = M(rows)
+            best = max(k for k in range(nc + 1)
+                       for combo in itertools.combinations(m.col_labels, k)
+                       if independent_oracle(m, combo))
+            assert matrix_rank(m) == best, rows
+
     def test_transpose_invariance(self):
         rng = random.Random(55)
         for _ in range(40):
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
             m = M(rows)
-            assert matrix_rank(m) == matrix_rank(m.transpose())
+            assert matrix_rank(m) == matrix_rank(transpose(m))
 
 
 class TestTextFormat:
