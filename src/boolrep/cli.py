@@ -167,16 +167,29 @@ def _rep_report(args, which: str) -> int:
     sji = walk.sji_families()
     chosen = minimal if which == "minimal" else sji
     minset = set(minimal)
-    families = []
+    # each of the walk's flats gets its labels and its family_matrix text line
+    # once; flat labels start with "{", never the auto r0, r1, ... pattern, so
+    # to_text would print the same `row: {label} bits` lines
+    n = len(hc.ground)
+    cols = "cols: " + " ".join(hc.ground)
+    labels, names, rows, pos = {}, {}, {}, {}
+    for i, m in enumerate(sorted(walk.flats, key=lattice.mask_order)):
+        labels[m] = lattice.mask_to_list(m, hc.ground)
+        names[m] = lattice.mask_label(m, hc.ground)
+        bits = "".join(str(1 - (m >> j & 1)) for j in range(n))
+        rows[m] = f"row: {names[m]} {bits}"
+        pos[m] = i
+    families, lines = [], [f"{which} representations: {len(chosen)}"]
     for f in chosen:
-        rec = walk.record(f)
+        ms = sorted(f, key=pos.__getitem__)
         families.append({
-            "family": _subsets_sorted(hc, rec.family.masks),
+            "family": [labels[m] for m in ms],
             "in_im_theta": True,
             "minimal": f in minset,
             "sji": True,
-            "matrix": rec.matrix.to_text().rstrip("\n").split("\n"),
+            "matrix": [cols] + [rows[m] for m in ms],
         })
+        lines.append("  " + "; ".join(names[m] for m in ms))
     md, _ = reps.mindeg(hc)
     minimal_orbits, sji_orbits = walk.orbit_counts()
     payload = {
@@ -189,9 +202,6 @@ def _rep_report(args, which: str) -> int:
             "mindeg": md,
         },
     }
-    lines = [f"{which} representations: {len(chosen)}"]
-    for fam in families:
-        lines.append("  " + "; ".join("{" + ",".join(m) + "}" for m in fam["family"]))
     _emit(args, payload, lines)
     return 0
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, FormatError, SizeError, UnknownColumn
+from .errors import DimensionError, FormatError, SizeError, TooLarge, UnknownColumn
 
 PERMANENT_GUARD = 12
+MATRIX_RANK_MAX_PEELS = 1 << 16
 
 _AUTO_ROW = re.compile(r"^r\d+$")
 
@@ -186,7 +187,7 @@ class BoolMatrix:
 
 @dataclass(frozen=True)
 class Witness:
-    """A certificate that column subset `cols` is independent.
+    """A certificate that a column subset is independent.
 
     `row_order`/`col_order` are index sequences such that the submatrix read
     in that order is lower triangular with 1s on the diagonal and 0s strictly
@@ -195,14 +196,6 @@ class Witness:
 
     row_order: tuple[int, ...]
     col_order: tuple[int, ...]
-
-    @property
-    def rows(self) -> frozenset[int]:
-        return frozenset(self.row_order)
-
-    @property
-    def cols(self) -> frozenset[int]:
-        return frozenset(self.col_order)
 
 
 # -- permanent ----------------------------------------------------------------
@@ -333,7 +326,8 @@ def matrix_rank(m: BoolMatrix) -> int:
 
     Independent sets are downward closed, so the first hit scanning sizes from
     the top is the rank; a greedy pass first raises the lower cutoff so small
-    matrices exit early.
+    matrices exit early.  More than MATRIX_RANK_MAX_PEELS column subsets
+    tried after that pass raise TooLarge.
     """
     masks = m.ones_masks
     current = 0
@@ -341,8 +335,13 @@ def matrix_rank(m: BoolMatrix) -> int:
         if _peel(masks, current | 1 << j):
             current |= 1 << j
     lo = current.bit_count()
+    tried = 0
     for k in range(min(m.n_rows, m.n_cols), lo, -1):
         for combo in itertools.combinations(range(m.n_cols), k):
+            tried += 1
+            if tried > MATRIX_RANK_MAX_PEELS:
+                raise TooLarge(
+                    f"matrix_rank exceeds its budget of {MATRIX_RANK_MAX_PEELS} peels")
             if _peel(masks, sum(1 << j for j in combo)):
                 return k
     return lo

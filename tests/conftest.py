@@ -14,6 +14,8 @@ import random
 from functools import lru_cache
 from typing import Optional
 
+from boolrep import reps
+from boolrep.cli import _emit, _load_hc, _subsets_sorted
 from boolrep.errors import BoolrepError, GroundMismatch
 from boolrep.lattice import FiniteLattice, VGenLattice
 from boolrep.hereditary import HereditaryCollection, is_boolean_representable
@@ -503,3 +505,42 @@ def min_smi_degree(walk) -> int:
     reps.mindeg."""
     full = walk.hc.full_mask
     return min(len(_smi_masks(walk._members(k), full)) for k in walk.nchildren)
+
+
+def rep_report_by_records(args, which: str) -> int:
+    """The minimal-reps / sji-reps report built from one RepRecord per printed
+    family, its label-row family_matrix turned into text: the oracle for the
+    CLI's per-flat rendering (`cli._rep_report`)."""
+    hc = _load_hc(args.input)
+    walk = reps.RepresentationLattice(hc, max_nontrivial=args.max_flats)
+    minimal = walk.minimal_families()
+    sji = walk.sji_families()
+    chosen = minimal if which == "minimal" else sji
+    minset = set(minimal)
+    families = []
+    for f in chosen:
+        rec = walk.record(f)
+        families.append({
+            "family": _subsets_sorted(hc, rec.family.masks),
+            "in_im_theta": True,
+            "minimal": f in minset,
+            "sji": True,
+            "matrix": rec.matrix.to_text().rstrip("\n").split("\n"),
+        })
+    md, _ = reps.mindeg(hc)
+    minimal_orbits, sji_orbits = walk.orbit_counts()
+    payload = {
+        "families": families,
+        "counts": {
+            "minimal_raw": len(minimal),
+            "minimal_orbits": minimal_orbits,
+            "sji_raw": len(sji),
+            "sji_orbits": sji_orbits,
+            "mindeg": md,
+        },
+    }
+    lines = [f"{which} representations: {len(chosen)}"]
+    for fam in families:
+        lines.append("  " + "; ".join("{" + ",".join(m) + "}" for m in fam["family"]))
+    _emit(args, payload, lines)
+    return 0

@@ -1,6 +1,7 @@
 """Command-line behaviors: formats, pipelines, exit codes, reproduce targets."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boolrep
-from boolrep import errors
-from boolrep.cli import main
+from boolrep import errors, hereditary, reps, sbcore
+from boolrep.cli import build_parser, main
+from conftest import rep_report_by_records
 
 # the child process imports boolrep from where this process found it
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(boolrep.__file__)))
@@ -383,6 +385,59 @@ class TestErrorsAndCodes:
                              stdin_text=hc_json, monkeypatch=monkeypatch)
         assert code == 1
         assert json.loads(out)["error"] == "FormatError"
+
+
+REPORT_INPUTS = {"bigex": hereditary.example_bigex, "fano": hereditary.fano,
+                 "u35": lambda: hereditary.uniform(3, 5),
+                 "u36": lambda: hereditary.uniform(3, 6)}
+
+
+class TestRepReport:
+    """minimal-reps and sji-reps render each family from per-flat rows; the
+    record-based builder is the oracle for both output formats."""
+
+    @pytest.fixture
+    def hc_path(self, tmp_path):
+        def write(name):
+            path = tmp_path / f"{name}.json"
+            path.write_text(hereditary.hc_to_json(REPORT_INPUTS[name]()))
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("verb", ["sji-reps", "minimal-reps"])
+    @pytest.mark.parametrize("name", sorted(REPORT_INPUTS))
+    def test_matches_record_builder(self, capsys, hc_path, name, verb):
+        path = hc_path(name)
+        for fmt in ("json", "table"):
+            argv = ["--format", fmt, verb, path]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            which = verb.split("-")[0]
+            assert rep_report_by_records(build_parser().parse_args(argv), which) == 0
+            assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb,size,digest", [
+        ("sji-reps", 578670,
+         "cca74e943aadd1e756cbe3e1056ae33c2679e7a3385c7527055d2a54d2544ba9"),
+        ("minimal-reps", 300240,
+         "541ab2d297381168353ece2f4f37ab35c1a2f499bc6ae7a547c5cfad4fa5c84b"),
+    ])
+    def test_u36_json_digest(self, capsys, hc_path, verb, size, digest):
+        assert main([verb, hc_path("u36")]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+    def test_builds_no_record_or_matrix_text(self, monkeypatch, capsys, hc_path):
+        def refuse(*args):
+            raise RuntimeError("a record or its matrix text was built")
+
+        monkeypatch.setattr(reps.RepresentationLattice, "record", refuse)
+        monkeypatch.setattr(reps.RepRecord, "matrix", property(refuse))
+        monkeypatch.setattr(sbcore.BoolMatrix, "to_text", refuse)
+        path = hc_path("u36")
+        for verb, count in (("sji-reps", 442), ("minimal-reps", 226)):
+            assert main([verb, path]) == 0
+            assert len(json.loads(capsys.readouterr().out)["families"]) == count
 
 
 class TestReproduce:

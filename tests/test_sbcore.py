@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from boolrep.errors import DimensionError, FormatError, SizeError, UnknownColumn
+from boolrep import sbcore
+from boolrep.errors import DimensionError, FormatError, SizeError, TooLarge, UnknownColumn
 from boolrep.sbcore import (
     SB,
     BoolMatrix,
@@ -229,6 +230,22 @@ class TestRank:
             rows = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
             m = M(rows)
             assert matrix_rank(m) == matrix_rank(transpose(m))
+
+    def test_peel_budget(self, monkeypatch):
+        # the greedy pass finds rank >= 1 on the n x n all-ones matrix, which
+        # then tries every subset of two or more columns: 2^n - n - 1 peels
+        def ones(n):
+            return M([[1] * n] * n)
+
+        assert sbcore.MATRIX_RANK_MAX_PEELS == 1 << 16
+        assert matrix_rank(ones(16)) == 1  # 65 519 peels
+        with pytest.raises(TooLarge):
+            matrix_rank(ones(17))  # 131 054 peels
+        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 2 ** 10 - 11)
+        assert matrix_rank(ones(10)) == 1
+        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 2 ** 10 - 12)
+        with pytest.raises(TooLarge):
+            matrix_rank(ones(10))
 
 
 class TestTextFormat:
