@@ -74,9 +74,18 @@ def _maybe_dot(args, dot_text: Optional[str]) -> None:
 # -- verbs ------------------------------------------------------------------------
 
 
+GENERATORS = {
+    "fano": hereditary.fano,
+    "bigex": hereditary.example_bigex,
+    "unio-j1": lambda: hereditary.example_unio()[0],
+    "unio-j2": lambda: hereditary.example_unio()[1],
+    "unio-union": lambda: hereditary.union_hc(*hereditary.example_unio()),
+    "truno": hereditary.example_truno,
+}
+
+
 def cmd_generate(args) -> int:
-    name = args.name
-    if name == "uniform":
+    if args.name == "uniform":
         if args.a is None or args.b is None:
             raise FormatError("uniform needs --a and --b")
         if args.a < 0 or args.b < 0:
@@ -85,20 +94,8 @@ def cmd_generate(args) -> int:
         if args.b > cap:
             raise TooLarge(f"|E| = {args.b} exceeds the cap {cap}")
         hc = hereditary.uniform(args.a, args.b)
-    elif name == "fano":
-        hc = hereditary.fano()
-    elif name == "bigex":
-        hc = hereditary.example_bigex()
-    elif name == "unio-j1":
-        hc = hereditary.example_unio()[0]
-    elif name == "unio-j2":
-        hc = hereditary.example_unio()[1]
-    elif name == "unio-union":
-        hc = hereditary.union_hc(*hereditary.example_unio())
-    elif name == "truno":
-        hc = hereditary.example_truno()
     else:
-        raise FormatError(f"unknown generator {name!r}")
+        hc = GENERATORS[args.name]()
     print(hereditary.hc_to_json(hc))
     return 0
 
@@ -494,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("generate", cmd_generate, help="emit a built-in collection as JSON")
-    sp.add_argument("name", choices=("uniform", "fano", "bigex", "unio-j1",
-                                     "unio-j2", "unio-union", "truno"))
+    sp.add_argument("name", choices=("uniform", *GENERATORS))
     sp.add_argument("--a", type=int)
     sp.add_argument("--b", type=int)
 

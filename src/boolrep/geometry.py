@@ -23,8 +23,8 @@ from .errors import (
     WrongSize,
 )
 from .hereditary import HereditaryCollection, _json_label_sets, _json_labels
-from .lattice import FiniteLattice, VGenLattice, check_lattice_cap, flat_label, \
-    labels_to_mask
+from .lattice import FiniteLattice, FlatFamily, VGenLattice, check_lattice_cap, \
+    flat_label, generated_lattice, labels_to_mask
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,10 @@ def lattice_of_mpeg(g: MPeg) -> VGenLattice:
     if not rep.ok:
         raise BadMpeg(rep.violations[:1])
     gidx = {p: i for i, p in enumerate(g.ground)}  # validated: members lie in E
-    lat, labels = FiniteLattice.from_family(
-        g.ground, (labels_to_mask(p, gidx) for p in members))
-    gens = tuple(labels[1 << i] for i in range(len(g.ground)))
-    return VGenLattice(lat, gens)
+    # J5 makes the members closed under intersection, and J2 makes each point
+    # a member, so the generators are the points
+    return generated_lattice(FlatFamily.from_masks(
+        g.ground, frozenset(labels_to_mask(p, gidx) for p in members)))
 
 
 # -- height-4 hyperplane criterion ------------------------------------------------------------

@@ -31,8 +31,8 @@ from .errors import (
     RankTooSmall,
     TooLarge,
 )
-from .lattice import FiniteLattice, FlatFamily, VGenLattice, _bits, closure_op, \
-    family_matrix, labels_to_mask, mask_order, mask_to_labels, mask_to_list
+from .lattice import FlatFamily, VGenLattice, _bits, closure_op, family_matrix, \
+    generated_lattice, labels_to_mask, mask_order, mask_to_labels, mask_to_list
 from .sbcore import BoolMatrix
 
 
@@ -425,10 +425,7 @@ def flat_lattice(hc: HereditaryCollection) -> VGenLattice:
     """(Fl(E,H), E) as a generated lattice; points must be flats (simple)."""
     if not hc.is_simple():
         raise NotSimple("the point closures must be the points themselves")
-    fam = hc.flats()
-    lat, labels = FiniteLattice.from_family(fam.ground, fam.masks)
-    gens = tuple(labels[1 << i] for i in range(len(hc.ground)))
-    return VGenLattice(lat, gens)
+    return generated_lattice(hc.flats())
 
 
 def flat_matrix(hc: HereditaryCollection) -> BoolMatrix:

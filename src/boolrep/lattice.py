@@ -97,19 +97,16 @@ class FiniteLattice:
         cls,
         elements: Sequence[str],
         cover_pairs: Iterable[tuple[str, str]],
-        max_size: Optional[int] = None,
     ) -> "FiniteLattice":
         """Build and validate from labels and (lower, upper) order generators.
 
         Rejects cyclic inputs and posets that are not lattices (a pair without
-        a meet, or two maximal elements, is reported), and, with max_size,
-        more than max_size elements.
+        a meet, or two maximal elements, is reported).
         """
         labels = tuple(elements)
         if len(set(labels)) != len(labels):
             raise FormatError("duplicate element labels")
         n = len(labels)
-        check_lattice_cap(n, max_size)
         index = {l: i for i, l in enumerate(labels)}
         succs: list[set[int]] = [set() for _ in range(n)]
         for a, b in cover_pairs:
@@ -262,14 +259,14 @@ class FiniteLattice:
         return f"FiniteLattice({len(self.labels)} elements, height {self.height()})"
 
 
-def check_lattice_cap(n: int, cap: Optional[int] = DEFAULT_LATTICE_CAP) -> None:
-    """Refuse a lattice of n elements over the cap (None: no cap)."""
-    if cap is not None and n > cap:
-        raise TooLarge(f"lattice cap exceeded: {n} > {cap}")
+def check_lattice_cap(n: int) -> None:
+    """Refuse a lattice of n elements over DEFAULT_LATTICE_CAP."""
+    if n > DEFAULT_LATTICE_CAP:
+        raise TooLarge(f"lattice cap exceeded: {n} > {DEFAULT_LATTICE_CAP}")
 
 
-def lattice_from_covers(elements, cover_pairs, max_size: Optional[int] = None):
-    return FiniteLattice.from_covers(elements, cover_pairs, max_size=max_size)
+def lattice_from_covers(elements, cover_pairs):
+    return FiniteLattice.from_covers(elements, cover_pairs)
 
 
 @dataclass(frozen=True)
@@ -290,9 +287,9 @@ class VGenLattice:
                 raise FormatError(f"unknown generator {g!r}")
             if g == lat.bottom:
                 raise BottomElement("the bottom element cannot generate")
-        for x in lat.labels:
-            below = [g for g in self.gens if lat.leq(g, x)]
-            if lat.join_of(below) != x:
+        gen_mask = labels_to_mask(self.gens, lat._index)
+        for x, d in zip(lat.labels, lat.down):
+            if lat._closure(d & gen_mask) != d:
                 raise NotALattice(f"{x!r} is not a join of generators")
 
     def z_of(self, x: str) -> frozenset[str]:
@@ -406,9 +403,6 @@ class FlatFamily:
         """Members by size, then by their points' ground positions."""
         return sorted(self.masks, key=mask_order)
 
-    def sorted_members(self) -> list[frozenset[str]]:
-        return [mask_to_labels(m, self.ground) for m in self.sorted_masks()]
-
 
 def flat_label(s: frozenset, ground: Sequence[str]) -> str:
     """Canonical label of a flat: members in ground order inside braces."""
@@ -497,9 +491,10 @@ def lattice_from_matrix(m: BoolMatrix) -> VGenLattice:
 def c_independence_chain(vg: VGenLattice, xs: Iterable[str]) -> Optional[list[str]]:
     """An enumeration of xs with strictly decreasing suffix joins, or None.
 
-    Peels the first element: x1 qualifies when dropping it strictly lowers
-    the join of the rest; ties break to lattice element order so the
-    certificate chain is deterministic.
+    Peels greedily the first x1, in lattice order, whose removal strictly
+    lowers the join of the rest.  c-independence is closed downward (a
+    chain's order restricted to a subset is still a chain, as the join of
+    fewer elements is lower), so no such peel loses a chain.
     """
     lat = vg.lattice
     s = frozenset(xs)
@@ -508,27 +503,19 @@ def c_independence_chain(vg: VGenLattice, xs: Iterable[str]) -> Optional[list[st
     for x in s:
         if x not in lat._index:
             raise FormatError(f"unknown element {x!r}")
-    memo: dict[frozenset, Optional[tuple]] = {}
-
-    def rec(sub: frozenset) -> Optional[tuple]:
-        if len(sub) <= 1:
-            return tuple(sub)
-        if sub in memo:
-            return memo[sub]
-        j = lat.join_of(sub)
-        out = None
-        for x1 in sorted(sub, key=lat.index):
-            rest = sub - {x1}
-            if lat.join_of(rest) != j:
-                tail = rec(rest)
-                if tail is not None:
-                    out = (x1,) + tail
-                    break
-        memo[sub] = out
-        return out
-
-    chain = rec(s)
-    return list(chain) if chain is not None else None
+    rest = sorted(s, key=lat.index)
+    chain = []
+    while len(rest) > 1:
+        j = lat.join_of(rest)
+        for x1 in rest:
+            others = [x for x in rest if x != x1]
+            if lat.join_of(others) != j:
+                chain.append(x1)
+                rest = others
+                break
+        else:
+            return None
+    return chain + rest
 
 
 def c_independent(vg: VGenLattice, xs: Iterable[str]) -> bool:
@@ -633,7 +620,7 @@ def lattice_to_text(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def lattice_from_text(text: str, max_size: int = DEFAULT_LATTICE_CAP):
+def lattice_from_text(text: str):
     """Parse the text format; returns VGenLattice when a gens line is present."""
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
@@ -656,7 +643,8 @@ def lattice_from_text(text: str, max_size: int = DEFAULT_LATTICE_CAP):
             raise FormatError(f"unrecognized line: {ln!r}")
     if not elements:
         raise FormatError("missing elements: line")
-    lat = FiniteLattice.from_covers(elements, pairs, max_size=max_size)
+    check_lattice_cap(len(elements))
+    lat = FiniteLattice.from_covers(elements, pairs)
     if gens is None:
         return lat
     return VGenLattice(lat, tuple(gens))

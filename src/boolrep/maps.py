@@ -277,9 +277,9 @@ def rees_quotient(lat: FiniteLattice, ideal: Iterable[str]) -> FiniteLattice:
 def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLattice:
     """Quotient by the congruence generated by joining against members of s.
 
-    The raw relation (x ~ y when x join s = y join s' for members s, s') is
-    reflexive, symmetric and join compatible but not transitive in general;
-    its transitive closure is already the generated congruence.
+    s is join closed, so it has a top t, and x join a = y join b for some
+    members a, b exactly when x join t = y join t.  The relation is therefore
+    already transitive: it is the kernel of the closure operator x -> x join t.
     """
     sub = sorted(frozenset(s), key=lat.index)
     if not sub:
@@ -287,26 +287,9 @@ def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLa
     for x, y in itertools.combinations_with_replacement(sub, 2):
         if lat.join(x, y) not in sub:
             raise NotJoinClosed((x, y))
-    pairs = []
-    for x, y in itertools.combinations(lat.labels, 2):
-        if any(lat.join(x, a) == lat.join(y, b) for a in sub for b in sub):
-            pairs.append((x, y))
-    rho = VCongruence.from_pairs(lat, pairs)
+    t = lat.join_of(sub)
+    rho = VCongruence(lat, _blocks_by(lat.labels, lambda x: lat.join(x, t)))
     return quotient_lattice(lat, rho)[0]
-
-
-def raw_subsemilattice_relation_transitive(lat: FiniteLattice, s: Iterable[str]) -> bool:
-    """Whether the one-step relation already equals the generated congruence."""
-    sub = sorted(frozenset(s), key=lat.index)
-
-    def related(x, y):
-        return x == y or any(
-            lat.join(x, a) == lat.join(y, b) for a in sub for b in sub)
-
-    for x, y, z in itertools.permutations(lat.labels, 3):
-        if related(x, y) and related(y, z) and not related(x, z):
-            return False
-    return True
 
 
 # -- MPS / MPI factorization ---------------------------------------------------------------

@@ -143,13 +143,6 @@ class RepRecord:
     def smi_rows(self) -> frozenset[frozenset[str]]:
         return smi_members(self.hc, self.family)
 
-    @cached_property
-    def reduced_matrix(self) -> BoolMatrix:
-        """Only the rows that are not boolean sums of others (zero row dropped)."""
-        keep = set(_smi_masks(self.family.masks, self.hc.full_mask))
-        idx = [i for i, m in enumerate(self.family.sorted_masks()) if m in keep]
-        return self.matrix.submatrix(idx, range(len(self.hc.ground)))
-
     @property
     def degree(self) -> int:
         return len(self.smi_rows)

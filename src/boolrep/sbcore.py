@@ -104,12 +104,6 @@ class BoolMatrix:
     def _col_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.col_labels)}
 
-    def col_index(self, label: str) -> int:
-        try:
-            return self._col_index[label]
-        except KeyError:
-            raise UnknownColumn(label) from None
-
     @cached_property
     def ones_masks(self) -> tuple[int, ...]:
         """Per-row bitmask of columns holding a 1 (bit i = column i)."""
@@ -324,24 +318,28 @@ def columns_independent(m: BoolMatrix, cols: Iterable[str]) -> bool:
 def matrix_rank(m: BoolMatrix) -> int:
     """Maximum size of an independent column subset.
 
-    Independent sets are downward closed, so the first hit scanning sizes from
-    the top is the rank; a greedy pass first raises the lower cutoff so small
-    matrices exit early.  More than MATRIX_RANK_MAX_PEELS column subsets
-    tried after that pass raise TooLarge.
+    A greedy pass gives a lower bound k.  Independent sets are closed
+    downward, so the rank is the first k with no independent (k+1)-subset:
+    sizes are scanned upward from the bound, moving on at the first
+    independent subset.  More than MATRIX_RANK_MAX_PEELS column subsets
+    tried after the greedy pass raise TooLarge.
     """
     masks = m.ones_masks
     current = 0
     for j in range(m.n_cols):
         if _peel(masks, current | 1 << j):
             current |= 1 << j
-    lo = current.bit_count()
+    rank = current.bit_count()
     tried = 0
-    for k in range(min(m.n_rows, m.n_cols), lo, -1):
-        for combo in itertools.combinations(range(m.n_cols), k):
+    while rank < min(m.n_rows, m.n_cols):
+        for combo in itertools.combinations(range(m.n_cols), rank + 1):
             tried += 1
             if tried > MATRIX_RANK_MAX_PEELS:
                 raise TooLarge(
                     f"matrix_rank exceeds its budget of {MATRIX_RANK_MAX_PEELS} peels")
             if _peel(masks, sum(1 << j for j in combo)):
-                return k
-    return lo
+                break
+        else:
+            return rank
+        rank += 1
+    return rank

@@ -16,11 +16,20 @@ from typing import Optional
 
 from boolrep import reps
 from boolrep.cli import _emit, _load_hc, _subsets_sorted
-from boolrep.errors import BoolrepError, GroundMismatch
-from boolrep.lattice import FiniteLattice, VGenLattice
+from boolrep.errors import (
+    BoolrepError,
+    BottomElement,
+    FormatError,
+    GroundMismatch,
+    NotJoinClosed,
+    TooLarge,
+    UnknownColumn,
+)
+from boolrep.lattice import FiniteLattice, FlatFamily, VGenLattice, mask_to_labels
 from boolrep.hereditary import HereditaryCollection, is_boolean_representable
+from boolrep.maps import VCongruence, quotient_lattice
 from boolrep.reps import _smi_masks
-from boolrep.sbcore import SB, BoolMatrix, Witness
+from boolrep.sbcore import MATRIX_RANK_MAX_PEELS, SB, BoolMatrix, Witness, _peel
 
 
 def fs(*items):
@@ -323,9 +332,16 @@ def permanent_oracle(m: BoolMatrix) -> SB:
     return total
 
 
+def col_index(m: BoolMatrix, label: str) -> int:
+    try:
+        return m._col_index[label]
+    except KeyError:
+        raise UnknownColumn(label) from None
+
+
 def independent_oracle(m: BoolMatrix, cols) -> bool:
     """Row-subset brute force with the permanent oracle on each candidate."""
-    idx = [m.col_index(c) for c in cols]
+    idx = [col_index(m, c) for c in cols]
     k = len(idx)
     if k == 0:
         return True
@@ -395,6 +411,33 @@ def transpose(m: BoolMatrix) -> BoolMatrix:
     )
 
 
+def matrix_rank_top_down(m: BoolMatrix) -> int:
+    """Maximum size of an independent column subset.
+
+    Independent sets are downward closed, so the first hit scanning sizes from
+    the top is the rank; a greedy pass first raises the lower cutoff so small
+    matrices exit early.  More than MATRIX_RANK_MAX_PEELS column subsets
+    tried after that pass raise TooLarge.  The oracle for sbcore.matrix_rank,
+    which scans from the bottom.
+    """
+    masks = m.ones_masks
+    current = 0
+    for j in range(m.n_cols):
+        if _peel(masks, current | 1 << j):
+            current |= 1 << j
+    lo = current.bit_count()
+    tried = 0
+    for k in range(min(m.n_rows, m.n_cols), lo, -1):
+        for combo in itertools.combinations(range(m.n_cols), k):
+            tried += 1
+            if tried > MATRIX_RANK_MAX_PEELS:
+                raise TooLarge(
+                    f"matrix_rank exceeds its budget of {MATRIX_RANK_MAX_PEELS} peels")
+            if _peel(masks, sum(1 << j for j in combo)):
+                return k
+    return lo
+
+
 @lru_cache(maxsize=None)
 def all_hcs(n: int) -> tuple:
     """Every hereditary collection on n points (n <= 4: 167 of them)."""
@@ -446,6 +489,88 @@ def closure_by_circuits(hc: HereditaryCollection, xs) -> frozenset:
                 cur |= extra
                 changed = True
     return hc.set_of(cur)
+
+
+def c_independence_chain_by_search(vg: VGenLattice, xs) -> Optional[list[str]]:
+    """An enumeration of xs with strictly decreasing suffix joins, or None.
+
+    Peels the first element: x1 qualifies when dropping it strictly lowers
+    the join of the rest; ties break to lattice element order so the
+    certificate chain is deterministic.  A memoized backtracking search: the
+    oracle for lattice.c_independence_chain, which peels greedily.
+    """
+    lat = vg.lattice
+    s = frozenset(xs)
+    if lat.bottom in s:
+        raise BottomElement(lat.bottom)
+    for x in s:
+        if x not in lat._index:
+            raise FormatError(f"unknown element {x!r}")
+    memo: dict[frozenset, Optional[tuple]] = {}
+
+    def rec(sub: frozenset) -> Optional[tuple]:
+        if len(sub) <= 1:
+            return tuple(sub)
+        if sub in memo:
+            return memo[sub]
+        j = lat.join_of(sub)
+        out = None
+        for x1 in sorted(sub, key=lat.index):
+            rest = sub - {x1}
+            if lat.join_of(rest) != j:
+                tail = rec(rest)
+                if tail is not None:
+                    out = (x1,) + tail
+                    break
+        memo[sub] = out
+        return out
+
+    chain = rec(s)
+    return list(chain) if chain is not None else None
+
+
+def quotient_by_pair_scan(lat: FiniteLattice, s) -> FiniteLattice:
+    """Quotient by the congruence generated by joining against members of s,
+    as the transitive closure of the pairs x ~ y with x join a = y join b for
+    members a, b: the oracle for maps.quotient_by_subsemilattice, which takes
+    the kernel of x -> x join (top of s)."""
+    sub = sorted(frozenset(s), key=lat.index)
+    if not sub:
+        raise NotJoinClosed("the subsemilattice must be nonempty")
+    for x, y in itertools.combinations_with_replacement(sub, 2):
+        if lat.join(x, y) not in sub:
+            raise NotJoinClosed((x, y))
+    pairs = []
+    for x, y in itertools.combinations(lat.labels, 2):
+        if any(lat.join(x, a) == lat.join(y, b) for a in sub for b in sub):
+            pairs.append((x, y))
+    rho = VCongruence.from_pairs(lat, pairs)
+    return quotient_lattice(lat, rho)[0]
+
+
+def raw_subsemilattice_relation_transitive(lat: FiniteLattice, s) -> bool:
+    """Whether the one-step relation already equals the generated congruence."""
+    sub = sorted(frozenset(s), key=lat.index)
+
+    def related(x, y):
+        return x == y or any(
+            lat.join(x, a) == lat.join(y, b) for a in sub for b in sub)
+
+    for x, y, z in itertools.permutations(lat.labels, 3):
+        if related(x, y) and related(y, z) and not related(x, z):
+            return False
+    return True
+
+
+def sorted_members(fam: FlatFamily) -> list[frozenset[str]]:
+    return [mask_to_labels(m, fam.ground) for m in fam.sorted_masks()]
+
+
+def reduced_matrix(rec) -> BoolMatrix:
+    """Only the rows that are not boolean sums of others (zero row dropped)."""
+    keep = set(_smi_masks(rec.family.masks, rec.hc.full_mask))
+    idx = [i for i, m in enumerate(rec.family.sorted_masks()) if m in keep]
+    return rec.matrix.submatrix(idx, range(len(rec.hc.ground)))
 
 
 def closure_ordering(hc: HereditaryCollection, xs):

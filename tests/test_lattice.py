@@ -32,7 +32,15 @@ from boolrep.lattice import (
     vgen_isomorphic,
 )
 from boolrep.sbcore import BoolMatrix, columns_independent, matrix_rank
-from conftest import all_lattice_masks, all_lattices, fs, lattices_up_to, random_vgen
+from conftest import (
+    all_lattice_masks,
+    all_lattices,
+    c_independence_chain_by_search,
+    fs,
+    lattices_up_to,
+    random_vgen,
+    sorted_members,
+)
 
 
 def chain3():
@@ -292,7 +300,7 @@ class TestFlatFamily:
         assert hash(by_labels) == hash(by_masks) == hash(unchecked)
         assert by_labels.masks == frozenset({0, 1, 2, 7})
         assert by_masks.members == by_labels.members == frozenset(self.LABELS)
-        assert by_masks.sorted_members() == self.LABELS
+        assert sorted_members(by_masks) == self.LABELS
         assert by_masks.sorted_masks() == [0, 1, 2, 7]
         assert fs("a") in by_masks and fs("c") not in by_masks
         assert len(by_masks) == 4 and by_masks.full
@@ -377,6 +385,25 @@ class TestCIndependence:
                 for combo in itertools.combinations(nb, k):
                     assert c_independent(vg_all, combo) == \
                         columns_independent(m, combo)
+
+    def test_certificates_match_search_exhaustive(self):
+        for lat in lattices_up_to(7):
+            nb = [x for x in lat.labels if x != lat.bottom]
+            vg = VGenLattice(lat, tuple(nb))
+            for k in range(len(nb) + 1):
+                for combo in itertools.combinations(nb, k):
+                    assert c_independence_chain(vg, combo) == \
+                        c_independence_chain_by_search(vg, combo)
+
+    def test_certificates_match_search_random(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            vg = random_vgen(rng)
+            nb = [x for x in vg.lattice.labels if x != vg.lattice.bottom]
+            for k in range(min(5, len(nb)) + 1):
+                for combo in itertools.combinations(nb, k):
+                    assert c_independence_chain(vg, combo) == \
+                        c_independence_chain_by_search(vg, combo)
 
     def test_chain_certificate_has_decreasing_suffix_joins(self):
         rng = random.Random(8)

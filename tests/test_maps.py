@@ -43,11 +43,17 @@ from boolrep.maps import (
     mps_factorize,
     quotient_by_subsemilattice,
     quotient_lattice,
-    raw_subsemilattice_relation_transitive,
     rees_quotient,
     validate_vmap,
 )
-from conftest import all_lattices, fs, lattices_up_to, random_vgen
+from conftest import (
+    all_lattices,
+    fs,
+    lattices_up_to,
+    quotient_by_pair_scan,
+    random_vgen,
+    raw_subsemilattice_relation_transitive,
+)
 
 
 def chain(n, names=None):
@@ -340,8 +346,7 @@ class TestRees:
         names = {f: f"F{i}" for i, f in enumerate(sorted(fams, key=sorted))}
         pairs = [(names[a], names[b]) for a in fams for b in fams
                  if a != b and a < b]
-        big = lattice_from_covers(list(names.values()), pairs,
-                                  max_size=len(names) + 1)
+        big = lattice_from_covers(list(names.values()), pairs)
         ideal = [names[f] for f in fams if f not in walk.members]
         q = rees_quotient(big, ideal)
         # the quotient has one element per representing family plus a bottom
@@ -436,7 +441,19 @@ class TestQuotientBySubsemilattice:
                         closed.add(lat.join(x, y))
                     q = quotient_by_subsemilattice(lat, closed)
                     assert len(q) <= len(lat)
-                    raw_subsemilattice_relation_transitive(lat, closed)
+                    assert raw_subsemilattice_relation_transitive(lat, closed)
+
+
+    def test_matches_pair_scan(self):
+        for lat in lattices_up_to(7):
+            for r in (1, 2, 3):
+                for sub in itertools.combinations(lat.labels, r):
+                    if any(lat.join(x, y) not in sub
+                           for x, y in itertools.combinations(sub, 2)):
+                        continue
+                    q = quotient_by_subsemilattice(lat, sub)
+                    oracle = quotient_by_pair_scan(lat, sub)
+                    assert (q.labels, q.down) == (oracle.labels, oracle.down)
 
 
 class TestInducedFlatMap:

@@ -50,7 +50,7 @@ from boolrep.reps import (
     stack_matrices,
 )
 from boolrep.sbcore import BoolMatrix, columns_independent
-from conftest import closure_ordering, fs, min_smi_degree
+from conftest import closure_ordering, fs, min_smi_degree, reduced_matrix, sorted_members
 
 
 def family(hc, *sets):
@@ -111,7 +111,7 @@ class TestRepresents:
         walk = RepresentationLattice(BIGEX)
         for f in enumerate_fisfl(BIGEX):
             rec_rows = []
-            for flset in f.sorted_members():
+            for flset in sorted_members(f):
                 rec_rows.append(tuple(0 if e in flset else 1 for e in BIGEX.ground))
             m = BoolMatrix.build(rec_rows, col_labels=BIGEX.ground)
             assert matrix_represents(BIGEX, m) == (f in walk)
@@ -330,7 +330,7 @@ class TestMinimalStructure:
         walk = RepresentationLattice(BIGEX)
         for f in walk.minimal_families():
             rec = walk.record(f)
-            assert is_rowmin(BIGEX, rec.reduced_matrix)
+            assert is_rowmin(BIGEX, reduced_matrix(rec))
 
     def test_rowmin_does_not_imply_minimal(self):
         m = example_libourne_matrix()
@@ -427,7 +427,7 @@ class TestJoinStacking:
 
 def _matrix_for(hc, f):
     rows = []
-    for flset in f.sorted_members():
+    for flset in sorted_members(f):
         rows.append(tuple(0 if e in flset else 1 for e in hc.ground))
     return BoolMatrix.build(rows, col_labels=hc.ground)
 
@@ -848,7 +848,7 @@ class TestRowmin:
         hc = fano()
         walk = RepresentationLattice(hc)
         f = walk.minimal_families()[0]
-        assert is_rowmin(hc, walk.record(f).reduced_matrix)
+        assert is_rowmin(hc, reduced_matrix(walk.record(f)))
 
 
 class TestConsistencyWithColumns:

@@ -22,6 +22,7 @@ from boolrep.sbcore import (
 )
 from conftest import (
     independent_oracle,
+    matrix_rank_top_down,
     permanent_oracle,
     transpose,
     witness_by_backtracking,
@@ -231,21 +232,33 @@ class TestRank:
             m = M(rows)
             assert matrix_rank(m) == matrix_rank(transpose(m))
 
+    def test_matches_top_down_scan(self):
+        rng = random.Random(4000)
+        for _ in range(1000):
+            nr, nc = rng.randint(1, 9), rng.randint(1, 8)
+            m = M([[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)])
+            assert matrix_rank(m) == matrix_rank_top_down(m), m.rows
+
     def test_peel_budget(self, monkeypatch):
-        # the greedy pass finds rank >= 1 on the n x n all-ones matrix, which
-        # then tries every subset of two or more columns: 2^n - n - 1 peels
-        def ones(n):
-            return M([[1] * n] * n)
+        # the greedy pass finds rank >= 1 on an all-ones matrix, which then
+        # tries every pair of columns, finds none independent and stops
+        def ones(r, c):
+            return M([[1] * c] * r)
 
         assert sbcore.MATRIX_RANK_MAX_PEELS == 1 << 16
-        assert matrix_rank(ones(16)) == 1  # 65 519 peels
+        assert matrix_rank(ones(17, 17)) == 1  # 136 peels
+        assert matrix_rank(ones(2, 362)) == 1  # 65 341 peels
         with pytest.raises(TooLarge):
-            matrix_rank(ones(17))  # 131 054 peels
-        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 2 ** 10 - 11)
-        assert matrix_rank(ones(10)) == 1
-        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 2 ** 10 - 12)
+            matrix_rank(ones(2, 363))  # 65 703 pairs
+        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 45)
+        assert matrix_rank(ones(10, 10)) == 1
+        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 44)
         with pytest.raises(TooLarge):
-            matrix_rank(ones(10))
+            matrix_rank(ones(10, 10))
+
+    def test_identity_needs_no_peels(self, monkeypatch):
+        monkeypatch.setattr(sbcore, "MATRIX_RANK_MAX_PEELS", 0)
+        assert matrix_rank(M([[int(i == j) for j in range(16)] for i in range(16)])) == 16
 
 
 class TestTextFormat:
