@@ -161,22 +161,29 @@ def _rep_report(args, which: str) -> int:
     hc = _load_hc(args.input)
     walk = reps.RepresentationLattice(hc, max_nontrivial=args.max_flats)
     minimal = walk.minimal_families()
-    sji = walk.sji_families()
-    chosen = minimal if which == "minimal" else sji
+    chosen = minimal if which == "minimal" else walk.sji_families()
+    order = sorted(walk.flats, key=lattice.mask_order)
+    pos = {m: i for i, m in enumerate(order)}
+    names = {m: lattice.mask_label(m, hc.ground) for m in order}
+    if args.format == "table":
+        # the table lists the families only: no counts, matrices or orbits
+        _emit(args, {}, [f"{which} representations: {len(chosen)}"] + [
+            "  " + "; ".join(names[m] for m in sorted(f, key=pos.__getitem__))
+            for f in chosen])
+        return 0
+    sji = chosen if which == "sji" else walk.sji_families()
     minset = set(minimal)
     # each of the walk's flats gets its labels and its family_matrix text line
     # once; flat labels start with "{", never the auto r0, r1, ... pattern, so
     # to_text would print the same `row: {label} bits` lines
     n = len(hc.ground)
     cols = "cols: " + " ".join(hc.ground)
-    labels, names, rows, pos = {}, {}, {}, {}
-    for i, m in enumerate(sorted(walk.flats, key=lattice.mask_order)):
+    labels, rows = {}, {}
+    for m in order:
         labels[m] = lattice.mask_to_list(m, hc.ground)
-        names[m] = lattice.mask_label(m, hc.ground)
         bits = "".join(str(1 - (m >> j & 1)) for j in range(n))
         rows[m] = f"row: {names[m]} {bits}"
-        pos[m] = i
-    families, lines = [], [f"{which} representations: {len(chosen)}"]
+    families = []
     for f in chosen:
         ms = sorted(f, key=pos.__getitem__)
         families.append({
@@ -186,7 +193,6 @@ def _rep_report(args, which: str) -> int:
             "sji": True,
             "matrix": [cols] + [rows[m] for m in ms],
         })
-        lines.append("  " + "; ".join(names[m] for m in ms))
     md, _ = reps.mindeg(hc)
     minimal_orbits, sji_orbits = walk.orbit_counts()
     payload = {
@@ -199,7 +205,7 @@ def _rep_report(args, which: str) -> int:
             "mindeg": md,
         },
     }
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return 0
 
 

@@ -232,22 +232,30 @@ class HereditaryCollection:
         return _chain_admissible(self._h_sorted, self._closure)
 
     @cached_property
+    def _witness_sets(self) -> list[list[int]]:
+        """For the i-th independent set x of two or more points, the flats z
+        that witness it, |z & x| = |x| - 1, in increasing mask order; the
+        sets are numbered fewest witnessing flats first (ties in `_h_sorted`
+        order).  The collection is boolean representable exactly when its
+        full flat family represents, that is, when no list is empty."""
+        flats = self._flat_masks
+        by_set = [[z for z in flats if (z & x).bit_count() == x.bit_count() - 1]
+                  for x in self._h_sorted if x & (x - 1)]
+        return sorted(by_set, key=len)
+
+    @cached_property
     def _witnesses(self) -> tuple[dict[int, int], int]:
         """wit[z] for each flat z, and the int with all its bits set: bit i
-        of wit[z] says z witnesses the i-th independent set x of two or more
-        points, |z & x| = |x| - 1, numbered fewest witnessing flats first
-        (ties in `_h_sorted` order).  Rows with no all-zero column give every
+        of wit[z] says z witnesses the i-th independent set of two or more
+        points (`_witness_sets`).  Rows with no all-zero column give every
         x a strictly decreasing closure chain exactly when they witness each
         x: p is outside cl(x - p) iff a row holds x - p and misses p."""
-        flats = self._flat_masks
-        xs = [x for x in self._h_sorted if x & (x - 1)]
-        wit = dict.fromkeys(flats, 0)
-        by_set = [[z for z in flats if (z & x).bit_count() == x.bit_count() - 1]
-                  for x in xs]
-        for i, zs in enumerate(sorted(by_set, key=len)):
+        sets = self._witness_sets
+        wit = dict.fromkeys(self._flat_masks, 0)
+        for i, zs in enumerate(sets):
             for z in zs:
                 wit[z] |= 1 << i
-        return wit, (1 << len(xs)) - 1
+        return wit, (1 << len(sets)) - 1
 
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest flat containing xs."""

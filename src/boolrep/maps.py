@@ -127,10 +127,14 @@ class VCongruence:
             seen |= b
         if seen != set(self.lattice.labels):
             raise NotACongruence("blocks must cover the elements")
+        # "same block" is an equivalence: if the joins of y and w with z lie
+        # in different blocks, the first member's join lies apart from one of
+        # them, so matching each member against the first member suffices
         cls = self.block_of
         lat = self.lattice
         for b in self.blocks:
-            for x, y in itertools.combinations(sorted(b), 2):
+            x, *rest = sorted(b)
+            for y in rest:
                 for z in lat.labels:
                     if cls(lat.join(x, z)) is not cls(lat.join(y, z)):
                         raise NotACongruence((x, y, z))

@@ -220,7 +220,7 @@ class RepresentationLattice:
             raise TooLarge(
                 f"{len(nontrivial)} nontrivial flats exceed the cap "
                 f"{max_nontrivial}; raise max_nontrivial explicitly")
-        if not is_boolean_representable(hc):
+        if not all(hc._witness_sets):
             raise NotRepresentable("the collection has no boolean representation")
         self._bit = bit = {m: 1 << i for i, m in enumerate(flats)}
         wit = hc._witnesses[0]
@@ -588,21 +588,28 @@ def mindeg(hc: HereditaryCollection,
     Rows represent when they meet in 0 and witness every independent set of
     two or more points (`_leaf_ok`), so a node ORs its rows' witness bits and
     branches on the rows witnessing the lowest uncovered bit (fewest
-    witnesses first).  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
+    witnesses first).
+
+    A node with `left` rows still to choose is cut when the `left` largest
+    gains, each row's count of uncovered witness bits, add up to fewer than
+    the uncovered bits: no `left` rows can then cover them, so no leaf below
+    it represents.  The cut only drops subtrees without accepted leaves, so
+    the search reaches the same leaves in the same order and returns the
+    same k, witnesses and `enumerate_all` set.  Over MINDEG_MAX_NODES nodes
+    in all raise TooLarge.
     """
     if not hc.is_simple():
         raise NotSimple("minimum degree needs a simple collection")
-    if not is_boolean_representable(hc):
-        raise NotRepresentable("the collection has no boolean representation")
     full = hc.full_mask
     cands = sorted((m for m in hc._flat_masks if m != full),
                    key=lambda m: (-m.bit_count(), m))
+    index = {z: i for i, z in enumerate(cands)}
+    # E witnesses nothing, so these are the flats' lists over cand indices
+    witnessed_by = [sorted(map(index.__getitem__, zs)) for zs in hc._witness_sets]
+    if not all(witnessed_by):
+        raise NotRepresentable("the collection has no boolean representation")
     wit, every = hc._witnesses
     cand_wit = [wit[z] for z in cands]
-    witnessed_by: list[list[int]] = [[] for _ in range(every.bit_length())]
-    for i, w in enumerate(cand_wit):
-        for b in _bits(w):
-            witnessed_by[b].append(i)
 
     def to_matrix(row_masks: Sequence[int]) -> BoolMatrix:
         rows = tuple(
@@ -632,7 +639,12 @@ def mindeg(hc: HereditaryCollection,
             low = ~cov & every
             opts = [i for i in witnessed_by[(low & -low).bit_length() - 1]
                     if not banned >> i & 1]
-            if chosen.bit_count() == k or not opts:
+            left = k - chosen.bit_count()
+            if not left or not opts:
+                return False
+            # the gain bound: can the `left` largest gains cover low?
+            gains = sorted(map(int.bit_count, map(low.__and__, cand_wit)))
+            if sum(gains[-left:]) < low.bit_count():
                 return False
             hit = False
             for i in opts:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from boolrep import reps
 from boolrep.cli import _emit, _load_hc, _subsets_sorted
@@ -22,13 +22,22 @@ from boolrep.errors import (
     FormatError,
     GroundMismatch,
     NotJoinClosed,
+    NotRepresentable,
+    NotSimple,
     TooLarge,
     UnknownColumn,
 )
-from boolrep.lattice import FiniteLattice, FlatFamily, VGenLattice, mask_to_labels
-from boolrep.hereditary import HereditaryCollection, is_boolean_representable
+from boolrep.lattice import (
+    FiniteLattice,
+    FlatFamily,
+    VGenLattice,
+    _bits,
+    mask_label,
+    mask_to_labels,
+)
+from boolrep.hereditary import HereditaryCollection, _submasks, is_boolean_representable
 from boolrep.maps import VCongruence, quotient_lattice
-from boolrep.reps import _smi_masks
+from boolrep.reps import MINDEG_MAX_NODES, _leaf_ok, _smi_masks, matrix_represents
 from boolrep.sbcore import MATRIX_RANK_MAX_PEELS, SB, BoolMatrix, Witness, _peel
 
 
@@ -253,6 +262,23 @@ def random_simple_hc(rng: random.Random, n: int) -> HereditaryCollection:
                     and rng.random() < 0.45:
                 sets.add(frozenset(c))
     return HereditaryCollection(ground, frozenset(sets))
+
+
+def random_sweep_hc(rng: random.Random, n: int, p: float, add4: bool
+                    ) -> HereditaryCollection:
+    """Simple collection in the style of the benchmark's sweep-rand inputs:
+    each 3-subset independent with probability p; with add4, so is each
+    4-subset whose 3-subsets all are, with the same probability."""
+    triples = [sum(1 << i for i in t) for t in itertools.combinations(range(n), 3)
+               if rng.random() < p]
+    tset = set(triples)
+    quads = [q for q in (sum(1 << i for i in c) for c in itertools.combinations(range(n), 4))
+             if all(q ^ (1 << i) in tset for i in range(n) if q >> i & 1)
+             and rng.random() < p] if add4 else []
+    pairs = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(n), 2)]
+    return HereditaryCollection.from_masks(
+        tuple(str(i) for i in range(1, n + 1)),
+        {s for f in quads + triples + pairs for s in _submasks(f)})
 
 
 def random_matroid(rng: random.Random, n: int, attempts: int = 4000
@@ -548,6 +574,20 @@ def quotient_by_pair_scan(lat: FiniteLattice, s) -> FiniteLattice:
     return quotient_lattice(lat, rho)[0]
 
 
+def congruence_failure_pairwise(lat: FiniteLattice, blocks) -> Optional[tuple]:
+    """The first (x, y, z) with x, y in one block whose joins with z lie in
+    different blocks, over every pair of a block: the oracle for the join
+    check of maps.VCongruence, which pairs each member with its block's
+    first member only.  None when the partition is a join congruence."""
+    cls = {x: b for b in blocks for x in b}.__getitem__
+    for b in blocks:
+        for x, y in itertools.combinations(sorted(b), 2):
+            for z in lat.labels:
+                if cls(lat.join(x, z)) is not cls(lat.join(y, z)):
+                    return (x, y, z)
+    return None
+
+
 def raw_subsemilattice_relation_transitive(lat: FiniteLattice, s) -> bool:
     """Whether the one-step relation already equals the generated congruence."""
     sub = sorted(frozenset(s), key=lat.index)
@@ -669,3 +709,93 @@ def rep_report_by_records(args, which: str) -> int:
         lines.append("  " + "; ".join("{" + ",".join(m) + "}" for m in fam["family"]))
     _emit(args, payload, lines)
     return 0
+
+
+def mindeg_unbounded(hc: HereditaryCollection,
+                     enumerate_all: bool = False
+                     ) -> tuple[int, list[BoolMatrix]]:
+    """Minimum row count of a representing matrix, with witness matrices.
+
+    The search without the gain bound, and with the chain DP as its
+    representability test: the oracle for reps.mindeg.
+
+    Any reduced representation's rows are complement indicators of flats, so
+    the search runs over subsets of Fl minus E by increasing size, starting
+    at the rank (a largest independent set needs that many witness rows).
+    Rows represent when they meet in 0 and witness every independent set of
+    two or more points (`_leaf_ok`), so a node ORs its rows' witness bits and
+    branches on the rows witnessing the lowest uncovered bit (fewest
+    witnesses first).  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
+    """
+    if not hc.is_simple():
+        raise NotSimple("minimum degree needs a simple collection")
+    if not is_boolean_representable(hc):
+        raise NotRepresentable("the collection has no boolean representation")
+    full = hc.full_mask
+    cands = sorted((m for m in hc._flat_masks if m != full),
+                   key=lambda m: (-m.bit_count(), m))
+    wit, every = hc._witnesses
+    cand_wit = [wit[z] for z in cands]
+    witnessed_by: list[list[int]] = [[] for _ in range(every.bit_length())]
+    for i, w in enumerate(cand_wit):
+        for b in _bits(w):
+            witnessed_by[b].append(i)
+
+    def to_matrix(row_masks: Sequence[int]) -> BoolMatrix:
+        rows = tuple(
+            tuple(0 if (z >> i) & 1 else 1 for i in range(len(hc.ground)))
+            for z in row_masks)
+        labels = tuple(mask_label(z, hc.ground) for z in row_masks)
+        return BoolMatrix(rows, hc.ground, labels)
+
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def leaf(rows: Iterable[int]) -> bool:
+        masks = sorted(cands[i] for i in rows)
+        if _leaf_ok(hc, masks):
+            found.append(tuple(masks))
+            return True
+        return False
+
+    def rec(chosen: int, banned: int, cov: int) -> bool:
+        """Extend chosen (a set of cand indices, none banned) to k rows; cov
+        is the OR of the chosen rows' witness bits."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > MINDEG_MAX_NODES:
+            raise TooLarge(f"mindeg search exceeds its budget of {MINDEG_MAX_NODES} nodes")
+        if cov != every:
+            low = ~cov & every
+            opts = [i for i in witnessed_by[(low & -low).bit_length() - 1]
+                    if not banned >> i & 1]
+            if chosen.bit_count() == k or not opts:
+                return False
+            hit = False
+            for i in opts:
+                if rec(chosen | 1 << i, banned, cov | cand_wit[i]):
+                    hit = True
+                    if not enumerate_all:
+                        return True
+                banned |= 1 << i
+            return hit
+        if chosen.bit_count() == k:
+            return leaf(_bits(chosen))
+        rest = [i for i in range(len(cands)) if not (banned | chosen) >> i & 1]
+        hit = False
+        for extra in itertools.combinations(rest, k - chosen.bit_count()):
+            if leaf(itertools.chain(_bits(chosen), extra)):
+                hit = True
+                if not enumerate_all:
+                    return True
+        return hit
+
+    for k in range(hc.rank, len(cands) + 1):
+        rec(0, 0, 0)
+        if found:
+            witnesses = [to_matrix(m) for m in sorted(set(found))]
+            for w in witnesses:
+                if not matrix_represents(hc, w):
+                    raise NotRepresentable("mindeg witness failed validation")
+            return k, witnesses
+    raise NotRepresentable("no representing row set found")  # unreachable

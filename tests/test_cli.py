@@ -439,6 +439,28 @@ class TestRepReport:
             assert main([verb, path]) == 0
             assert len(json.loads(capsys.readouterr().out)["families"]) == count
 
+    def test_table_skips_counts(self, monkeypatch, capsys, hc_path):
+        def refuse(*args):
+            raise RuntimeError("table mode computed a count it never prints")
+
+        monkeypatch.setattr(reps.RepresentationLattice, "orbit_counts", refuse)
+        monkeypatch.setattr(reps, "mindeg", refuse)
+        path = hc_path("u36")
+        for verb, count in (("sji-reps", 442), ("minimal-reps", 226)):
+            assert main(["--format", "table", verb, path]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 + count
+
+    def test_table_past_automorphism_cap(self, capsys, tmp_path):
+        # the orbit counts refuse |E| = 9; the table prints no counts
+        path = tmp_path / "u29.json"
+        path.write_text(hereditary.hc_to_json(hereditary.uniform(2, 9)))
+        assert main(["sji-reps", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
+        assert main(["--format", "table", "sji-reps", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sji representations: 9" and len(lines) == 10
+
 
 class TestReproduce:
     @pytest.mark.parametrize("target", ["bigex", "libourne", "fano", "unio",

@@ -48,6 +48,7 @@ from boolrep.maps import (
 )
 from conftest import (
     all_lattices,
+    congruence_failure_pairwise,
     fs,
     lattices_up_to,
     quotient_by_pair_scan,
@@ -355,6 +356,30 @@ class TestRees:
         atoms = q.atoms()
         minimal = {names[f] for f in walk.minimal_families()}
         assert atoms == frozenset(minimal)
+
+
+class TestCongruenceCheck:
+    def test_matches_pairwise_check(self):
+        """Random partitions get the same verdict and the same failing
+        triple as the check over every pair of a block."""
+        rng = random.Random(61)
+        verdicts = set()
+        for lat in lattices_up_to(6):
+            labels = list(lat.labels)
+            for _ in range(80):
+                nblocks = rng.randint(1, len(labels))
+                where = [rng.randrange(nblocks) for _ in labels]
+                blocks = tuple(b for b in (
+                    frozenset(x for x, w in zip(labels, where) if w == i)
+                    for i in range(nblocks)) if b)
+                try:
+                    VCongruence(lat, blocks)
+                    got = None
+                except NotACongruence as e:
+                    got = e.args[0]
+                assert got == congruence_failure_pairwise(lat, blocks)
+                verdicts.add(got is None)
+        assert verdicts == {True, False}
 
 
 class TestClosureCongruence:

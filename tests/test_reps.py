@@ -50,7 +50,16 @@ from boolrep.reps import (
     stack_matrices,
 )
 from boolrep.sbcore import BoolMatrix, columns_independent
-from conftest import closure_ordering, fs, min_smi_degree, reduced_matrix, sorted_members
+from conftest import (
+    closure_ordering,
+    fs,
+    min_smi_degree,
+    mindeg_unbounded,
+    random_simple_hc,
+    random_sweep_hc,
+    reduced_matrix,
+    sorted_members,
+)
 
 
 def family(hc, *sets):
@@ -773,6 +782,30 @@ class TestWitnessTable:
             outcomes.add(ok)
         assert outcomes == {True, False}
 
+    def test_coverage_matches_chain_dp_on_random(self):
+        rng = random.Random(1805)
+        outcomes = set()
+        for i in range(500):
+            hc = random_simple_hc(rng, 5 + i % 3)
+            wit, every = hc._witnesses
+            cov = 0
+            for w in wit.values():
+                cov |= w
+            ok = hereditary.is_boolean_representable(hc)
+            assert (cov == every) == all(hc._witness_sets) == ok
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_refusals_keep_their_order(self):
+        hc = union_hc(*example_unio())
+        assert not hereditary.is_boolean_representable(hc)
+        with pytest.raises(TooLarge):  # the flat cap is checked first
+            RepresentationLattice(hc, max_nontrivial=0)
+        for build in (RepresentationLattice, mindeg):
+            with pytest.raises(NotRepresentable,
+                               match="the collection has no boolean representation"):
+                build(hc)
+
     @pytest.mark.parametrize("hc,count", [(BIGEX, 24), (fano(), 7)],
                              ids=["bigex", "fano"])
     def test_mindeg_witnesses_match_brute_force(self, hc, count):
@@ -787,19 +820,69 @@ class TestWitnessTable:
         assert len(got) == count
 
     def test_mindeg_u39(self):
-        assert mindeg(uniform(3, 9))[0] == 16
+        # the conjectured floor((n - 1)^2 / 4) is a cross-check only
+        assert mindeg(uniform(3, 9))[0] == 16 == (9 - 1) ** 2 // 4
 
     def test_mindeg_node_budget(self, monkeypatch):
-        # U(3,8) takes 23 547 search nodes over k = 3..12
+        # U(3,8) takes 1 328 search nodes over k = 3..12 (23 547 unbounded)
         hc = uniform(3, 8)
         monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1000)
         with pytest.raises(TooLarge, match="1000"):
             mindeg(hc)
-        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 23546)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1327)
         with pytest.raises(TooLarge):
             mindeg(hc)
-        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 23547)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1328)
         assert mindeg(hc)[0] == 12
+
+    def test_mindeg_u310(self, monkeypatch):
+        # 134 797 nodes; the unbounded search takes about 5.8 M
+        hc = uniform(3, 10)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 134_796)
+        with pytest.raises(TooLarge):
+            mindeg(hc)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 134_797)
+        assert mindeg(hc)[0] == 20 == (10 - 1) ** 2 // 4
+
+
+class TestGainBound:
+    """The gain bound only cuts nodes without accepted leaves: the search
+    without it (`conftest.mindeg_unbounded`) gives the same k, the same
+    witness list and the same `enumerate_all` set."""
+
+    @staticmethod
+    def assert_same(hc):
+        assert mindeg(hc) == mindeg_unbounded(hc)
+        assert mindeg(hc, enumerate_all=True) == mindeg_unbounded(hc, enumerate_all=True)
+
+    @pytest.mark.parametrize("hc", [uniform(3, 6), uniform(3, 7), uniform(3, 8),
+                                    fano(), BIGEX],
+                             ids=["u36", "u37", "u38", "fano", "bigex"])
+    def test_ladder(self, hc):
+        self.assert_same(hc)
+
+    def test_random_representable(self):
+        rng = random.Random(18)
+        shapes = itertools.cycle([(n, p, add4) for n in (5, 6, 7)
+                                  for p in (0.5, 0.8, 0.95) for add4 in (False, True)])
+        checked = 0
+        while checked < 300:
+            hc = random_sweep_hc(rng, *next(shapes))
+            if hereditary.is_boolean_representable(hc):
+                self.assert_same(hc)
+                checked += 1
+
+
+@pytest.mark.slow
+def test_mindeg_u311(monkeypatch):
+    """U(3,11) answers 25 in 2 320 510 nodes, inside MINDEG_MAX_NODES; a
+    budget one below the count refuses.  Each run takes tens of seconds."""
+    hc = uniform(3, 11)
+    monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 2_320_510)
+    assert mindeg(hc)[0] == 25 == (11 - 1) ** 2 // 4
+    monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 2_320_509)
+    with pytest.raises(TooLarge):
+        mindeg(hc)
 
 
 class TestNoAssertValidation:
