@@ -4,7 +4,7 @@ Reads hereditary collections as JSON ({"ground": [...], "facets": [[...]]} or
 an "independents" variant), matrices and lattices in their text formats, and
 emits JSON by default (`--format table` for a human-readable rendering).
 Exit codes: 0 success, 1 domain error (machine-readable error object on
-stdout), 2 usage error.
+stdout) or a reader that closed stdout early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -171,41 +171,42 @@ def _rep_report(args, which: str) -> int:
             "  " + "; ".join(names[m] for m in sorted(f, key=pos.__getitem__))
             for f in chosen])
         return 0
-    sji = chosen if which == "sji" else walk.sji_families()
-    minset = set(minimal)
-    # each of the walk's flats gets its labels and its family_matrix text line
-    # once; flat labels start with "{", never the auto r0, r1, ... pattern, so
-    # to_text would print the same `row: {label} bits` lines
-    n = len(hc.ground)
-    cols = "cols: " + " ".join(hc.ground)
-    labels, rows = {}, {}
-    for m in order:
-        labels[m] = lattice.mask_to_list(m, hc.ground)
-        bits = "".join(str(1 - (m >> j & 1)) for j in range(n))
-        rows[m] = f"row: {names[m]} {bits}"
-    families = []
-    for f in chosen:
-        ms = sorted(f, key=pos.__getitem__)
-        families.append({
-            "family": [labels[m] for m in ms],
-            "in_im_theta": True,
-            "minimal": f in minset,
-            "sji": True,
-            "matrix": [cols] + [rows[m] for m in ms],
-        })
+    # every count first, so a refusal prints its error object on an empty stdout
     md, _ = reps.mindeg(hc)
     minimal_orbits, sji_orbits = walk.orbit_counts()
-    payload = {
-        "families": families,
-        "counts": {
-            "minimal_raw": len(minimal),
-            "minimal_orbits": minimal_orbits,
-            "sji_raw": len(sji),
-            "sji_orbits": sji_orbits,
-            "mindeg": md,
-        },
-    }
-    _emit(args, payload)
+    sji = chosen if which == "sji" else walk.sji_families()
+    counts = {"minimal_raw": len(minimal), "minimal_orbits": minimal_orbits,
+              "sji_raw": len(sji), "sji_orbits": sji_orbits, "mindeg": md}
+    # the text of json.dumps(payload, indent=2, sort_keys=True), written one
+    # family at a time.  Each of the walk's flats gets its label list and its
+    # family_matrix line encoded once, at the depth (8 spaces) where a family
+    # lists them; flat labels start with "{", never the auto r0, r1, ...
+    # pattern, so to_text would print the same `row: {label} bits` lines
+    n = len(hc.ground)
+    item = ",\n" + " " * 8
+    labels, rows = {}, {}
+    for m in order:
+        labels[m] = json.dumps(lattice.mask_to_list(m, hc.ground), indent=2
+                               ).replace("\n", "\n" + " " * 8)
+        bits = "".join(str(1 - (m >> j & 1)) for j in range(n))
+        rows[m] = item + json.dumps(f"row: {names[m]} {bits}")
+    cols = json.dumps("cols: " + " ".join(hc.ground))
+    minset = set(minimal)
+    out = sys.stdout
+    out.write('{\n  "counts": '
+              + json.dumps(counts, indent=2, sort_keys=True).replace("\n", "\n  ")
+              + ',\n  "families": [')
+    sep = "\n"
+    for f in chosen:
+        ms = sorted(f, key=pos.__getitem__)
+        out.write(sep + '    {\n      "family": [\n        '
+                  + item.join([labels[m] for m in ms])
+                  + '\n      ],\n      "in_im_theta": true,\n      "matrix": [\n        '
+                  + cols + "".join([rows[m] for m in ms])
+                  + '\n      ],\n      "minimal": ' + ("true" if f in minset else "false")
+                  + ',\n      "sji": true\n    }')
+        sep = ",\n"
+    out.write("\n  ]\n}\n")  # the walk has a minimal family, so chosen is never empty
     return 0
 
 
@@ -547,14 +548,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.fn(args)
     except BoolrepError as e:
         print(json.dumps({"error": type(e).__name__, "detail": str(e.args[0]) if e.args else ""}))
         return 1
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: nothing more reaches it, and the flush at
+        # interpreter shutdown must find somewhere to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -46,6 +46,69 @@ def permuted(mask: int, perm: Sequence[int]) -> int:
     return t
 
 
+def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """A strong generating set, for the base 0, 1, ..., n-1, of the index
+    permutations p of n points with p(S) in hm exactly when S is in hm.
+
+    The levels run from the deepest stabilizer up.  The generators found
+    for the points after i fix 0..i and generate the stabilizer of 0..i;
+    with one element fixing 0..i-1 that sends i to each point of its orbit
+    they generate the stabilizer of 0..i-1 (a subgroup that holds the
+    stabilizer of i and moves i to every point of its orbit is the whole
+    group).  So each j > i not yet in the orbit of i under the generators
+    found so far needs one search for an automorphism that fixes 0..i-1 and
+    sends i to j; there may be none.
+
+    The search assigns p(i), p(i+1), ... in turn and drops a partial map as
+    soon as a subset S whose top point t was just assigned has (S in hm) !=
+    (p(S) in hm).  Every nonempty subset has a top point, so a complete map
+    that survives preserves hm both ways.
+    """
+    inh = bytearray(1 << n)
+    for s in hm:
+        inh[s] = 1
+    img = list(range(1 << n))  # img[S] = p(S) for S inside the assigned points
+    gens: list[tuple[int, ...]] = []
+
+    def extend(p: list[int], t: int, used: int, cands) -> Optional[tuple[int, ...]]:
+        if t == n:
+            return tuple(p)
+        top = 1 << t
+        for q in cands:
+            b = 1 << q
+            if used & b:
+                continue
+            for s in range(top):
+                im = img[s] | b
+                if inh[s | top] != inh[im]:
+                    break
+                img[s | top] = im
+            else:
+                p.append(q)
+                found = extend(p, t + 1, used | b, range(n))
+                if found:
+                    return found
+                p.pop()
+        return None
+
+    for i in reversed(range(n)):
+        orbit = {i}  # the generators found so far fix i
+        for j in range(i + 1, n):
+            if j in orbit:
+                continue
+            g = extend(list(range(i)), i, (1 << i) - 1, (j,))
+            if g:
+                gens.append(g)
+                todo = list(orbit)
+                while todo:
+                    x = todo.pop()
+                    for h in gens:
+                        if h[x] not in orbit:
+                            orbit.add(h[x])
+                            todo.append(h[x])
+    return tuple(gens)
+
+
 def _submasks(mask: int) -> Iterator[int]:
     """Every submask of mask, mask itself first and 0 last."""
     sub = mask
@@ -281,14 +344,26 @@ class HereditaryCollection:
         return tuple(out)
 
     @cached_property
+    def _automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
+        """A strong generating set, for the base 0, 1, ..., n-1, of the index
+        permutations p (point i to point p[i]) preserving H; the search runs
+        once per collection, and callers check any cap."""
+        return _strong_generators(len(self.ground), self.h_masks)
+
+    @cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Index permutations p (point i to point p[i]) preserving H; the
-        |E|! sweep runs once per collection, and callers check any cap.
-        Only facets are tested: H is downward closed, so p(facets) in H gives
-        p(H) in H, and a bijection of the finite H into itself is onto."""
-        hm, facets = self.h_masks, self._facet_masks
-        return tuple(p for p in itertools.permutations(range(len(self.ground)))
-                     if all(permuted(f, p) in hm for f in facets))
+        """Every automorphism, in lexicographic order: the closure of the
+        strong generating set under composition."""
+        ident = tuple(range(len(self.ground)))
+        seen, todo = {ident}, [ident]
+        while todo:
+            p = todo.pop()
+            for g in self._automorphism_generators:
+                q = tuple(map(g.__getitem__, p))
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return tuple(sorted(seen))
 
     # -- predicates -----------------------------------------------------------------
 

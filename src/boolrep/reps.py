@@ -333,10 +333,12 @@ class RepresentationLattice:
 
         The automorphisms permute the members and keep each one's number of
         children, so every orbit of sji families is all minimal or all not:
-        one expansion over the sji keys counts both."""
+        one expansion over the sji keys counts both.  The flats are closed
+        under the automorphisms, so `_image_tables` numbers them as the keys
+        do."""
         sji_keys = (k for k, n in self.nchildren.items() if n <= 1)
         minimal = sji = 0
-        for key in _orbit_starts(sji_keys, _image_bits(self.hc, self.flats)):
+        for key in _orbit_starts(sji_keys, _image_tables(self.hc, self.flats)[1]):
             sji += 1
             minimal += self.nchildren[key] == 0
         return minimal, sji
@@ -485,39 +487,62 @@ def rowsum_closure(m: BoolMatrix) -> BoolMatrix:
 # -- counting up to ground bijection ------------------------------------------------------
 
 
-def _automorphism_perms(hc: HereditaryCollection) -> tuple[tuple[int, ...], ...]:
-    """hc's automorphisms as index permutations, refused past the cap."""
+def _generators(hc: HereditaryCollection) -> tuple[tuple[int, ...], ...]:
+    """A strong generating set of hc's automorphisms, refused past the cap."""
     if len(hc.ground) > AUTOMORPHISM_GROUND_CAP:
-        raise TooLarge(f"automorphism sweep capped at |E| <= {AUTOMORPHISM_GROUND_CAP}")
-    return hc._automorphisms
+        raise TooLarge(f"automorphism search capped at |E| <= {AUTOMORPHISM_GROUND_CAP}")
+    return hc._automorphism_generators
 
 
 def automorphisms(hc: HereditaryCollection) -> list[dict[str, str]]:
-    """Ground permutations preserving the independent sets."""
+    """Ground permutations preserving the independent sets, in lexicographic
+    order of their index permutations."""
+    _generators(hc)  # refused past the cap
     g = hc.ground
-    return [{g[i]: g[j] for i, j in enumerate(p)} for p in _automorphism_perms(hc)]
+    return [{g[i]: g[j] for i, j in enumerate(p)} for p in hc._automorphisms]
 
 
-def _image_bits(hc: HereditaryCollection, masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """Per automorphism, the bit of each mask's image: masks[i] goes to the
-    mask whose bit is the i-th entry.  Images outside masks get fresh bits, so
-    a family keyed over masks maps to one int under each automorphism."""
-    bit = {z: 1 << i for i, z in enumerate(masks)}
-    return [tuple(bit.setdefault(permuted(z, p), 1 << len(bit)) for z in masks)
-            for p in _automorphism_perms(hc)]
+def _image_tables(hc: HereditaryCollection, masks: Iterable[int]
+                  ) -> tuple[dict[int, int], list[list[int]]]:
+    """A bit for each of the distinct masks and for each of their images
+    under the automorphisms (numbered in order of appearance), and per
+    generator the bit of each numbered mask's image: the mask with bit 1 << i
+    goes to the mask whose bit is the i-th entry.  A family keyed over the
+    bits maps to one int under each generator."""
+    gens = _generators(hc)
+    order = list(masks)
+    bit = {z: 1 << i for i, z in enumerate(order)}
+    tables: list[list[int]] = [[] for _ in gens]
+    for z in order:  # images not yet numbered join the end of the list
+        for p, table in zip(gens, tables):
+            w = permuted(z, p)
+            if w not in bit:
+                bit[w] = 1 << len(order)
+                order.append(w)
+            table.append(bit[w])
+    return bit, tables
 
 
 def _orbit_starts(keys: Iterable[int], images: Sequence[Sequence[int]]) -> Iterator[int]:
-    """The keys that start a new orbit.  Orbit expansion: the first key of
-    each orbit adds its whole orbit to `seen`, so later keys of that orbit are
-    one lookup each.  This is exact for any key list, invariant under the
-    group or not, and costs |orbits| x |G| family images, not |keys| x |G|."""
+    """The keys that start a new orbit.  The first key of each orbit adds its
+    whole orbit to `seen`, by a search over the generators' images (the
+    group is finite, so closure under the generators is closure under the
+    group), and later keys of that orbit are one lookup each.  This is exact
+    for any key list, invariant under the group or not, and costs |orbit| x
+    |generators| family images per orbit met."""
     seen: set[int] = set()
     for key in keys:
         if key not in seen:
             yield key
-            idx = list(_bits(key))
-            seen.update(sum(map(image.__getitem__, idx)) for image in images)
+            seen.add(key)
+            todo = [key]
+            while todo:
+                idx = list(_bits(todo.pop()))
+                for image in images:
+                    k = sum(map(image.__getitem__, idx))
+                    if k not in seen:
+                        seen.add(k)
+                        todo.append(k)
 
 
 def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
@@ -526,10 +551,9 @@ def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
         return 0
     hc = records[0].hc
     fams = [_masks_over(hc, rec.family) for rec in records]
-    masks = sorted(frozenset().union(*fams))
-    bit = {z: 1 << i for i, z in enumerate(masks)}  # as `_image_bits` numbers them
+    bit, images = _image_tables(hc, frozenset().union(*fams))
     keys = (sum(map(bit.__getitem__, fam)) for fam in fams)
-    return sum(1 for _ in _orbit_starts(keys, _image_bits(hc, masks)))
+    return sum(1 for _ in _orbit_starts(keys, images))
 
 
 # -- matrix-level representation tests ----------------------------------------------------

@@ -35,7 +35,8 @@ from boolrep.lattice import (
     mask_label,
     mask_to_labels,
 )
-from boolrep.hereditary import HereditaryCollection, _submasks, is_boolean_representable
+from boolrep.hereditary import HereditaryCollection, _submasks, is_boolean_representable, \
+    permuted
 from boolrep.maps import VCongruence, quotient_lattice
 from boolrep.reps import MINDEG_MAX_NODES, _leaf_ok, _smi_masks, matrix_represents
 from boolrep.sbcore import MATRIX_RANK_MAX_PEELS, SB, BoolMatrix, Witness, _peel
@@ -663,6 +664,17 @@ def check_submodular(rf):
             if r[x | a] + r[x | b] < r[x | a | b] + r[x]:
                 raise BoolrepError("submodularity failed")
     return rf
+
+
+def automorphisms_by_sweep(hc: HereditaryCollection) -> tuple[tuple[int, ...], ...]:
+    """Index permutations p (point i to point p[i]) preserving H, in
+    lexicographic order, by the |E|! sweep: the oracle for the generator
+    search behind `hc._automorphisms`.  Only facets are tested: H is downward
+    closed, so p(facets) in H gives p(H) in H, and a bijection of the finite
+    H into itself is onto."""
+    hm, facets = hc.h_masks, hc._facet_masks
+    return tuple(p for p in itertools.permutations(range(len(hc.ground)))
+                 if all(permuted(f, p) in hm for f in facets))
 
 
 def min_smi_degree(walk) -> int:

@@ -146,22 +146,30 @@ class TestStack(object):
         assert json.loads(out)["error"] == "TooLarge"
 
 
-class TestAutomorphismSweep:
-    def test_minimal_reps_sweeps_once(self, capsys, monkeypatch):
+class TestAutomorphismSearch:
+    def test_minimal_reps_searches_once(self, capsys, monkeypatch):
+        # no permutation sweep: one generator search for the one collection
         _, hc_json = run_main(capsys, ["generate", "fano"])
-        calls = []
+        sweeps, searches = [], []
         permutations = itertools.permutations
+        search = hereditary._strong_generators
 
-        def counted(*args):
-            calls.append(args)
+        def counted_permutations(*args):
+            sweeps.append(args)
             return permutations(*args)
 
-        monkeypatch.setattr(itertools, "permutations", counted)
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(itertools, "permutations", counted_permutations)
+        monkeypatch.setattr(hereditary, "_strong_generators", counted_search)
         code, out = run_main(capsys, ["minimal-reps"], stdin_text=hc_json,
                              monkeypatch=monkeypatch)
         assert code == 0
         assert json.loads(out)["counts"]["minimal_orbits"] == 1
-        assert len(calls) == 1
+        assert len(sweeps) == 0
+        assert len(searches) == 1
 
 
 class TestGeoMpeg:
@@ -389,7 +397,10 @@ class TestErrorsAndCodes:
 
 REPORT_INPUTS = {"bigex": hereditary.example_bigex, "fano": hereditary.fano,
                  "u35": lambda: hereditary.uniform(3, 5),
-                 "u36": lambda: hereditary.uniform(3, 6)}
+                 "u36": lambda: hereditary.uniform(3, 6),
+                 # labels that JSON escapes: a quote, a backslash, non-ASCII
+                 "u35-escaped": lambda: hereditary.HereditaryCollection.from_masks(
+                     ('q"', "b\\s", "\u00e9", "4", "5"), hereditary.uniform(3, 5).h_masks)}
 
 
 class TestRepReport:
@@ -427,6 +438,24 @@ class TestRepReport:
         out = capsys.readouterr().out.encode()
         assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
+    def test_streams_one_family_per_write(self, hc_path):
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        out = Recorder()
+        with contextlib.redirect_stdout(out):
+            assert main(["sji-reps", hc_path("u36")]) == 0
+        assert sum(sizes) == 578670
+        # a family's text: its JSON at the list's depth, the separator before it
+        largest = max(len(",\n    " + json.dumps(f, indent=2, sort_keys=True)
+                          .replace("\n", "\n    "))
+                      for f in json.loads(out.getvalue())["families"])
+        assert max(sizes) <= largest
+
     def test_builds_no_record_or_matrix_text(self, monkeypatch, capsys, hc_path):
         def refuse(*args):
             raise RuntimeError("a record or its matrix text was built")
@@ -460,6 +489,24 @@ class TestRepReport:
         assert main(["--format", "table", "sji-reps", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "sji representations: 9" and len(lines) == 10
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_1(self, tmp_path):
+        # like `boolrep sji-reps u36.json | head -c 10`: the report is larger
+        # than the pipe's buffer, so the writer meets the closed pipe
+        path = tmp_path / "u36.json"
+        path.write_text(hereditary.hc_to_json(hereditary.uniform(3, 6)))
+        path_env = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path_env if path_env else ""))
+        proc = subprocess.Popen([sys.executable, "-m", "boolrep.cli", "sji-reps", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head == b'{\n  "count'
+        assert proc.returncode == 1
+        assert err == b""
 
 
 class TestReproduce:

@@ -51,6 +51,7 @@ from boolrep.reps import (
 )
 from boolrep.sbcore import BoolMatrix, columns_independent
 from conftest import (
+    automorphisms_by_sweep,
     closure_ordering,
     fs,
     min_smi_degree,
@@ -543,6 +544,94 @@ class TestOrbitsFromKeys:
         assert hc._automorphisms == full
 
 
+NAMED = {"bigex": BIGEX, "fano": fano(), "u35": uniform(3, 5), "u36": uniform(3, 6),
+         "unio-j1": example_unio()[0], "unio-j2": example_unio()[1],
+         "unio-union": union_hc(*example_unio()), "truno": example_truno()}
+
+
+def _random_collections(seed: int, count: int):
+    """Seeded random simple collections on 4 to 7 points, alternating the
+    two generators (random_sweep_hc over a cycle of its shapes)."""
+    rng = random.Random(seed)
+    shapes = itertools.cycle([(n, p, add4) for n in (4, 5, 6, 7)
+                              for p in (0.5, 0.8, 0.95) for add4 in (False, True)])
+    for i in range(count):
+        yield (random_simple_hc(rng, 4 + i % 4) if i % 2
+               else random_sweep_hc(rng, *next(shapes)))
+
+
+class TestStrongGenerators:
+    """The generator search against the facet sweep
+    (`conftest.automorphisms_by_sweep`): the closure of the generators is the
+    sweep's tuple, each generator preserves H both ways, and the basic orbits
+    (the orbit of point i under the generators fixing 0..i-1) have lengths
+    whose product is the group order, which holds only for a strong
+    generating set."""
+
+    @staticmethod
+    def assert_matches_sweep(hc):
+        full = automorphisms_by_sweep(hc)
+        assert hc._automorphisms == full
+        n, hm = len(hc.ground), hc.h_masks
+        gens = hc._automorphism_generators
+        for g in gens:
+            assert all((s in hm) == (_apply(s, g) in hm) for s in range(1 << n))
+        order = 1
+        for i in range(n):
+            level = [g for g in gens if g[:i] == tuple(range(i))]
+            orbit, todo = {i}, [i]
+            while todo:
+                x = todo.pop()
+                for g in level:
+                    if g[x] not in orbit:
+                        orbit.add(g[x])
+                        todo.append(g[x])
+            order *= len(orbit)
+        assert order == len(full)
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        self.assert_matches_sweep(NAMED[name])
+
+    def test_random(self):
+        orders = set()
+        for hc in _random_collections(2003, 320):
+            self.assert_matches_sweep(hc)
+            orders.add(len(hc._automorphisms))
+        assert {1, 720} <= orders  # trivial groups and a full S_6 both met
+
+    def test_orbit_counts_on_random_representable(self):
+        checked = 0
+        for hc in _random_collections(1805, 320):
+            nontrivial = len(hc._flat_masks) - 2
+            if nontrivial > reps.DEFAULT_MAX_NONTRIVIAL_FLATS or \
+                    not hereditary.is_boolean_representable(hc):
+                continue
+            walk = RepresentationLattice(hc)
+            recs = [[walk.record(f) for f in fams]
+                    for fams in (walk.minimal_families(), walk.sji_families())]
+            counts = tuple(len(set(_canonical_orbits(r))) for r in recs)
+            assert walk.orbit_counts() == counts
+            assert tuple(count_up_to_e_bijection(r) for r in recs) == counts
+            checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("hc", [BIGEX, fano()], ids=["bigex", "fano"])
+    def test_records_off_the_flats(self, hc):
+        # intersection-closed families of any sets: their images under the
+        # automorphisms need not be among the records' members
+        rng = random.Random(7)
+        recs = []
+        for _ in range(60):
+            masks = {0, hc.full_mask, *rng.sample(range(1, hc.full_mask), 3)}
+            while any(a & b not in masks for a in masks for b in masks):
+                masks |= {a & b for a in masks for b in masks}
+            recs.append(reps.RepRecord(hc, FlatFamily.from_masks(hc.ground,
+                                                                 frozenset(masks))))
+        for sub in (recs[:1], recs[:5], recs):
+            assert count_up_to_e_bijection(sub) == len(set(_canonical_orbits(sub)))
+
+
 class TestClassificationOracle:
     """Minimal and sji families read off the inclusion order of all
     representing subfamilies, found by filtering the exhaustive enumeration
@@ -871,6 +960,18 @@ class TestGainBound:
             if hereditary.is_boolean_representable(hc):
                 self.assert_same(hc)
                 checked += 1
+
+
+@pytest.mark.slow
+def test_u38_walk():
+    """The rank-3 uniform matroid on eight points: 4 685 862 representing
+    families, 15 275 minimal and 77 499 sji, in 10 and 18 orbits.  The walk
+    takes over a minute and about 350 MB."""
+    walk = RepresentationLattice(uniform(3, 8), max_nontrivial=36)
+    assert len(walk) == 4_685_862
+    assert sum(n == 0 for n in walk.nchildren.values()) == 15_275
+    assert sum(n <= 1 for n in walk.nchildren.values()) == 77_499
+    assert walk.orbit_counts() == (10, 18)
 
 
 @pytest.mark.slow
