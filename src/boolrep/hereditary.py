@@ -63,16 +63,30 @@ def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...
     soon as a subset S whose top point t was just assigned has (S in hm) !=
     (p(S) in hm).  Every nonempty subset has a top point, so a complete map
     that survives preserves hm both ways.
+
+    The points are first split into cells by how many members of hm of each
+    size hold them.  An automorphism keeps these counts, so p(t) is tried
+    only inside t's cell, and i is never sent to a point of another cell.
     """
     inh = bytearray(1 << n)
+    # key[x] holds, as digit k in base 2^n, the number of members of size k
+    # through x (at most C(n-1, k-1) < 2^n)
+    key = [0] * n
     for s in hm:
         inh[s] = 1
+        digit = 1 << n * s.bit_count()
+        while s:
+            low = s & -s
+            key[low.bit_length() - 1] += digit
+            s ^= low
+    cells: dict[int, list[int]] = {}
+    for x, k in enumerate(key):
+        cells.setdefault(k, []).append(x)
+    cell = [cells[k] for k in key]
     img = list(range(1 << n))  # img[S] = p(S) for S inside the assigned points
     gens: list[tuple[int, ...]] = []
 
     def extend(p: list[int], t: int, used: int, cands) -> Optional[tuple[int, ...]]:
-        if t == n:
-            return tuple(p)
         top = 1 << t
         for q in cands:
             b = 1 << q
@@ -85,7 +99,8 @@ def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...
                 img[s | top] = im
             else:
                 p.append(q)
-                found = extend(p, t + 1, used | b, range(n))
+                found = (tuple(p) if t + 1 == n
+                         else extend(p, t + 1, used | b, cell[t + 1]))
                 if found:
                     return found
                 p.pop()
@@ -94,7 +109,7 @@ def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...
     for i in reversed(range(n)):
         orbit = {i}  # the generators found so far fix i
         for j in range(i + 1, n):
-            if j in orbit:
+            if j in orbit or cell[j] is not cell[i]:
                 continue
             g = extend(list(range(i)), i, (1 << i) - 1, (j,))
             if g:
@@ -267,16 +282,24 @@ class HereditaryCollection:
 
     @cached_property
     def _flat_masks(self) -> tuple[int, ...]:
-        """The sets X that no circuit leaves by a single point.
+        """The sets X such that every independent J inside X extends by every
+        point outside X, in increasing order: the definition, by one subset DP.
 
-        This is the definition: if s is independent inside X and s + p is
-        dependent for a point p outside X, a circuit inside s + p holds p
-        and leaves X by p alone; a circuit c leaving X by p alone gives the
-        independent s = c - p inside X.
+        need[J], for J in H, holds the points p outside J with J + p
+        dependent.  OR-ing need up over subsets, one pass per point, gives at
+        each X the points that some independent J inside X cannot take; X is
+        a flat iff all of them lie in X.
         """
-        circuits = self._circuit_masks
-        return tuple(x for x in range(self.full_mask + 1)
-                     if not any((c & ~x).bit_count() == 1 for c in circuits))
+        full = self.full_mask
+        need = [0] * (full + 1)
+        for j, e in self._extensions.items():
+            need[j] = full & ~j & ~e
+        for b in range(len(self.ground)):
+            step = 1 << b
+            for x in range(full + 1):
+                if x & step:
+                    need[x] |= need[x ^ step]
+        return tuple(x for x in range(full + 1) if not need[x] & ~x)
 
     @cached_property
     def _flats(self) -> FlatFamily:

@@ -523,6 +523,24 @@ def _image_tables(hc: HereditaryCollection, masks: Iterable[int]
     return bit, tables
 
 
+def _mask_orbit(hc: HereditaryCollection, z: int) -> set[int]:
+    """The images of mask z under hc's automorphisms, by a search over the
+    generators; z alone past AUTOMORPHISM_GROUND_CAP, where no generator
+    search runs."""
+    if len(hc.ground) > AUTOMORPHISM_GROUND_CAP:
+        return {z}
+    gens = hc._automorphism_generators
+    seen, todo = {z}, [z]
+    while todo:
+        w = todo.pop()
+        for g in gens:
+            v = permuted(w, g)
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
 def _orbit_starts(keys: Iterable[int], images: Sequence[Sequence[int]]) -> Iterator[int]:
     """The keys that start a new orbit.  The first key of each orbit adds its
     whole orbit to `seen`, by a search over the generators' images (the
@@ -619,8 +637,21 @@ def mindeg(hc: HereditaryCollection,
     the uncovered bits: no `left` rows can then cover them, so no leaf below
     it represents.  The cut only drops subtrees without accepted leaves, so
     the search reaches the same leaves in the same order and returns the
-    same k, witnesses and `enumerate_all` set.  Over MINDEG_MAX_NODES nodes
-    in all raise TooLarge.
+    same k, witnesses and `enumerate_all` set.
+
+    At the root, until some first row has led to a representing k-set, a
+    failed first row bans its whole orbit under the automorphisms of H
+    (`_mask_orbit`, made on first need), not just itself.  Up to then every
+    banned row lies in no representing k-set, and an automorphism maps
+    representing row sets onto representing row sets, so neither does any
+    image of it: the rows skipped or banned this way would only have led to
+    rejected leaves.  After a hit, `banned` holds a row of a representing
+    set, a later failure only rules out the sets that avoid it, and rows
+    are banned one at a time.  The leaves accepted, and their order, stay
+    the same.  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
+
+    The rows returned are not re-checked: each passed `_leaf_ok`, which is
+    the representation test itself.
     """
     if not hc.is_simple():
         raise NotSimple("minimum degree needs a simple collection")
@@ -672,11 +703,14 @@ def mindeg(hc: HereditaryCollection,
                 return False
             hit = False
             for i in opts:
+                if banned >> i & 1:
+                    continue  # in the orbit of a failed first row
                 if rec(chosen | 1 << i, banned, cov | cand_wit[i]):
                     hit = True
                     if not enumerate_all:
                         return True
-                banned |= 1 << i
+                banned |= (1 << i if chosen or hit
+                           else sum(1 << index[z] for z in _mask_orbit(hc, cands[i])))
             return hit
         if chosen.bit_count() == k:
             return leaf(_bits(chosen))
@@ -692,9 +726,5 @@ def mindeg(hc: HereditaryCollection,
     for k in range(hc.rank, len(cands) + 1):
         rec(0, 0, 0)
         if found:
-            witnesses = [to_matrix(m) for m in sorted(set(found))]
-            for w in witnesses:
-                if not matrix_represents(hc, w):
-                    raise NotRepresentable("mindeg witness failed validation")
-            return k, witnesses
+            return k, [to_matrix(m) for m in sorted(set(found))]
     raise NotRepresentable("no representing row set found")  # unreachable

@@ -493,6 +493,17 @@ def all_hcs(n: int) -> tuple:
 # -- definitional oracles for the library's flats, closure, rank and walk ----------------
 
 
+def flat_masks_by_circuits(hc: HereditaryCollection) -> tuple[int, ...]:
+    """The sets X that no circuit leaves by a single point, in increasing
+    order: the oracle for the subset DP behind `hc._flat_masks`.  If s is
+    independent inside X and s + p is dependent for a point p outside X, a
+    circuit inside s + p holds p and leaves X by p alone; a circuit c
+    leaving X by p alone gives the independent s = c - p inside X."""
+    circuits = hc._circuit_masks
+    return tuple(x for x in range(hc.full_mask + 1)
+                 if not any((c & ~x).bit_count() == 1 for c in circuits))
+
+
 def is_flat_by_circuits(hc: HereditaryCollection, xs) -> bool:
     """Circuit characterization: no circuit leaves X by a single point."""
     x = frozenset(xs)

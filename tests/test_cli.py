@@ -371,12 +371,12 @@ class TestErrorsAndCodes:
 
         _, hc_json = run_main(capsys, ["generate", "uniform", "--a", "3",
                                        "--b", "8"])
-        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1000)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 500)  # U(3,8) takes 759
         code, out = run_main(capsys, ["mindeg"], stdin_text=hc_json,
                              monkeypatch=monkeypatch)
         assert code == 1
         data = json.loads(out)
-        assert data["error"] == "TooLarge" and "1000" in data["detail"]
+        assert data["error"] == "TooLarge" and "500" in data["detail"]
 
     def test_dot_emission(self, tmp_path, capsys, monkeypatch):
         _, hc_json = run_main(capsys, ["generate", "bigex"])

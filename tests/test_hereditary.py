@@ -43,11 +43,13 @@ from conftest import (
     check_submodular,
     closure_by_circuits,
     closure_ordering,
+    flat_masks_by_circuits,
     fs,
     full_sweep_fails,
     is_flat_by_circuits,
     random_hc,
     random_simple_hc,
+    random_sweep_hc,
     rank3_union_representable_hypothesis,
 )
 
@@ -150,6 +152,22 @@ class TestFlats:
             for r in range(6):
                 for c in itertools.combinations(hc.ground, r):
                     assert hc.is_flat(c) == is_flat_by_circuits(hc, c)
+
+    @pytest.mark.parametrize("hc", [example_bigex(), fano(), uniform(2, 5), uniform(3, 6),
+                                    uniform(3, 8), *example_unio(),
+                                    union_hc(*example_unio()), example_truno()],
+                             ids=["bigex", "fano", "u25", "u36", "u38", "unio-j1",
+                                  "unio-j2", "unio-union", "truno"])
+    def test_subset_dp_matches_circuit_scan_named(self, hc):
+        assert hc._flat_masks == flat_masks_by_circuits(hc)
+
+    def test_subset_dp_matches_circuit_scan_random(self):
+        rng = random.Random(2021)
+        for i in range(360):
+            n = 3 + i % 6
+            hc = (random_hc(rng, n), random_simple_hc(rng, n),
+                  random_sweep_hc(rng, n, (0.5, 0.8, 0.95)[i % 3], i % 2 == 0))[i % 3]
+            assert hc._flat_masks == flat_masks_by_circuits(hc)
 
     def test_flat_family_is_closed(self):
         rng = random.Random(42)

@@ -13,7 +13,6 @@ import pytest
 import boolrep
 from boolrep import cli, hereditary, lattice, reps
 from boolrep.errors import (
-    BoolrepError,
     NotRepresentable,
     NotSimple,
     NotSubsemilattice,
@@ -549,6 +548,22 @@ NAMED = {"bigex": BIGEX, "fano": fano(), "u35": uniform(3, 5), "u36": uniform(3,
          "unio-union": union_hc(*example_unio()), "truno": example_truno()}
 
 
+def _rank3_on_8(*triples):
+    """Rank 3 on eight points: every set of at most three points is
+    independent but the given triples (0-based point indices)."""
+    drop = {sum(1 << i for i in t) for t in triples}
+    return HereditaryCollection.from_masks(
+        tuple(str(i) for i in range(1, 9)),
+        (s for s in range(1 << 8) if s.bit_count() <= 3 and s not in drop))
+
+
+# near-uniform collections: few dependent sets, so the generator search's
+# dependence test prunes little and the cells carry it
+NEAR_UNIFORM = {"247+357": _rank3_on_8((2, 4, 7), (3, 5, 7)),
+                "012+345": _rank3_on_8((0, 1, 2), (3, 4, 5)),
+                "123": _rank3_on_8((1, 2, 3))}
+
+
 def _random_collections(seed: int, count: int):
     """Seeded random simple collections on 4 to 7 points, alternating the
     two generators (random_sweep_hc over a cycle of its shapes)."""
@@ -592,6 +607,10 @@ class TestStrongGenerators:
     @pytest.mark.parametrize("name", NAMED)
     def test_named(self, name):
         self.assert_matches_sweep(NAMED[name])
+
+    @pytest.mark.parametrize("name", NEAR_UNIFORM)
+    def test_near_uniform(self, name):
+        self.assert_matches_sweep(NEAR_UNIFORM[name])
 
     def test_random(self):
         orders = set()
@@ -913,16 +932,28 @@ class TestWitnessTable:
         assert mindeg(uniform(3, 9))[0] == 16 == (9 - 1) ** 2 // 4
 
     def test_mindeg_node_budget(self, monkeypatch):
-        # U(3,8) takes 1 328 search nodes over k = 3..12 (23 547 unbounded)
+        # U(3,8) takes 759 search nodes over k = 3..12 (1 328 without the
+        # root's orbit bans, 23 547 without the gain bound either)
         hc = uniform(3, 8)
-        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1000)
-        with pytest.raises(TooLarge, match="1000"):
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 500)
+        with pytest.raises(TooLarge, match="500"):
             mindeg(hc)
-        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1327)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 758)
         with pytest.raises(TooLarge):
             mindeg(hc)
-        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 1328)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", 759)
         assert mindeg(hc)[0] == 12
+
+    @pytest.mark.parametrize("hc, k, nodes", [(uniform(3, 6), 6, 30), (uniform(3, 7), 9, 144),
+                                              (fano(), 4, 10)],
+                             ids=["u36", "u37", "fano"])
+    def test_mindeg_node_counts(self, hc, k, nodes, monkeypatch):
+        # 52, 262 and 16 nodes without the root's orbit bans
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", nodes - 1)
+        with pytest.raises(TooLarge):
+            mindeg(hc)
+        monkeypatch.setattr(reps, "MINDEG_MAX_NODES", nodes)
+        assert mindeg(hc)[0] == k
 
     def test_mindeg_u310(self, monkeypatch):
         # 134 797 nodes; the unbounded search takes about 5.8 M
@@ -934,32 +965,103 @@ class TestWitnessTable:
         assert mindeg(hc)[0] == 20 == (10 - 1) ** 2 // 4
 
 
+def _representable_sweep_hcs(count):
+    """The first `count` boolean representable collections from a seeded
+    cycle of sweep-style shapes on 5 to 7 points."""
+    rng = random.Random(18)
+    shapes = itertools.cycle([(n, p, add4) for n in (5, 6, 7)
+                              for p in (0.5, 0.8, 0.95) for add4 in (False, True)])
+    hcs = (random_sweep_hc(rng, *next(shapes)) for _ in itertools.count())
+    return itertools.islice(filter(hereditary.is_boolean_representable, hcs), count)
+
+
+SYMMETRIC = {"u25": uniform(2, 5), "u26": uniform(2, 6), "u35": uniform(3, 5),
+             "u36": uniform(3, 6), "u37": uniform(3, 7), "u38": uniform(3, 8),
+             "u46": uniform(4, 6), "u47": uniform(4, 7), "fano": fano(), "bigex": BIGEX,
+             **NEAR_UNIFORM}
+
+
 class TestGainBound:
-    """The gain bound only cuts nodes without accepted leaves: the search
-    without it (`conftest.mindeg_unbounded`) gives the same k, the same
-    witness list and the same `enumerate_all` set."""
+    """The gain bound and the root's orbit bans only cut nodes without
+    accepted leaves: the search without either (`conftest.mindeg_unbounded`)
+    gives the same k, the same witness list and the same `enumerate_all`
+    set."""
 
     @staticmethod
     def assert_same(hc):
         assert mindeg(hc) == mindeg_unbounded(hc)
         assert mindeg(hc, enumerate_all=True) == mindeg_unbounded(hc, enumerate_all=True)
 
-    @pytest.mark.parametrize("hc", [uniform(3, 6), uniform(3, 7), uniform(3, 8),
-                                    fano(), BIGEX],
-                             ids=["u36", "u37", "u38", "fano", "bigex"])
-    def test_ladder(self, hc):
-        self.assert_same(hc)
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_ladder(self, name):
+        self.assert_same(SYMMETRIC[name])
 
     def test_random_representable(self):
-        rng = random.Random(18)
-        shapes = itertools.cycle([(n, p, add4) for n in (5, 6, 7)
-                                  for p in (0.5, 0.8, 0.95) for add4 in (False, True)])
-        checked = 0
-        while checked < 300:
-            hc = random_sweep_hc(rng, *next(shapes))
-            if hereditary.is_boolean_representable(hc):
-                self.assert_same(hc)
-                checked += 1
+        for hc in _representable_sweep_hcs(300):
+            self.assert_same(hc)
+
+    def test_witnesses_represent(self):
+        # mindeg returns its rows unchecked; the witness check is the oracle
+        ladder = (uniform(3, 6), uniform(3, 7), uniform(3, 8), fano(), BIGEX)
+        for hc in itertools.chain(ladder, _representable_sweep_hcs(300)):
+            k, witnesses = mindeg(hc, enumerate_all=True)
+            assert witnesses
+            for w in witnesses:
+                assert w.n_rows == k and matrix_represents(hc, w)
+
+
+class TestRootOrbits:
+    """The orbits that the mindeg root bans: the search over the generators
+    (`reps._mask_orbit`) against the images under every automorphism (the
+    closure `hc._automorphisms`), and no group past the cap."""
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_orbits_match_group(self, name):
+        hc = SYMMETRIC[name]
+        group = hc._automorphisms
+        for z in hc._flat_masks:
+            assert reps._mask_orbit(hc, z) == {hereditary.permuted(z, p) for p in group}
+
+    def test_no_group_past_the_cap(self, monkeypatch):
+        hc = uniform(3, reps.AUTOMORPHISM_GROUND_CAP + 1)
+
+        def refuse(*args):
+            raise RuntimeError("a generator search past the cap")
+
+        monkeypatch.setattr(hereditary, "_strong_generators", refuse)
+        for z in hc._flat_masks:
+            assert reps._mask_orbit(hc, z) == {z}
+
+
+class TestTuranRows:
+    """The mindeg ladder of U(3,n) is floor((n - 1)^2 / 4) (Mantel's
+    theorem, README): for n >= 6, the lines inside the two halves of a
+    balanced bipartition reach it.  The formula is an oracle only."""
+
+    @staticmethod
+    def turan_rows(n):
+        half = n // 2
+        return sorted((1 << a) | (1 << b) for a, b in itertools.combinations(range(n), 2)
+                      if (a < half) == (b < half))
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_turan_rows_represent(self, n):
+        hc = uniform(3, n)
+        rows = self.turan_rows(n)
+        assert len(rows) == (n - 1) ** 2 // 4
+        assert set(rows) <= set(hc._flat_masks)
+        assert reps._leaf_ok(hc, rows)
+        matrix = BoolMatrix.build([[0 if z >> i & 1 else 1 for i in range(n)] for z in rows],
+                                  col_labels=hc.ground)
+        assert matrix_represents(hc, matrix)
+
+    def test_u35_needs_five(self):
+        # no line of the halves 3 + 2 holds one point of the small half
+        # without the other, so that pair has no witness: U(3,5) needs one
+        # row more than the bound
+        hc = uniform(3, 5)
+        assert not reps._leaf_ok(hc, self.turan_rows(5))
+        assert mindeg(hc)[0] == 5 == (5 - 1) ** 2 // 4 + 1
 
 
 @pytest.mark.slow
@@ -988,11 +1090,6 @@ def test_mindeg_u311(monkeypatch):
 
 class TestNoAssertValidation:
     """Checks raise typed errors, so `python -O` cannot strip them."""
-
-    def test_mindeg_witness_check_raises(self, monkeypatch):
-        monkeypatch.setattr(reps, "matrix_represents", lambda hc, m: False)
-        with pytest.raises(BoolrepError):
-            mindeg(BIGEX)
 
     def test_no_assert_statements_in_src(self):
         src = pathlib.Path(boolrep.__file__).parent
