@@ -420,31 +420,32 @@ def family_matrix(fam: FlatFamily) -> BoolMatrix:
 
     An entry is 0 exactly when the column's point lies in the row's member.
     """
-    n = len(fam.ground)
-    rows, row_labels = [], []
-    for m in fam.sorted_masks():
-        rows.append(tuple(1 - ((m >> i) & 1) for i in range(n)))
-        row_labels.append(mask_label(m, fam.ground))
-    return BoolMatrix(tuple(rows), fam.ground, tuple(row_labels))
+    full = (1 << len(fam.ground)) - 1
+    ms = fam.sorted_masks()
+    return BoolMatrix.from_masks(tuple(full & ~m for m in ms), fam.ground,
+                                 tuple(mask_label(m, fam.ground) for m in ms))
 
 
 # -- matrix of a generated lattice ----------------------------------------------
 
 
+def _down_matrix(lat: FiniteLattice, cols: tuple[str, ...]) -> BoolMatrix:
+    """Rows L, columns the elements cols; 0 where column <= row."""
+    idx = [lat.index(c) for c in cols]
+    full = (1 << len(idx)) - 1
+    return BoolMatrix.from_masks(
+        tuple(full & ~sum(1 << k for k, i in enumerate(idx) if d >> i & 1) for d in lat.down),
+        cols, lat.labels)
+
+
 def matrix_of(vg: VGenLattice) -> BoolMatrix:
     """The boolean matrix with rows L and columns E; 0 where column <= row."""
-    lat = vg.lattice
-    rows = tuple(
-        tuple(0 if lat.leq(c, x) else 1 for c in vg.gens) for x in lat.labels
-    )
-    return BoolMatrix(rows, vg.gens, lat.labels)
+    return _down_matrix(vg.lattice, vg.gens)
 
 
 def full_matrix(lat: FiniteLattice) -> BoolMatrix:
     """Matrix of (L, L minus bottom), used for c-independence of elements."""
-    cols = tuple(x for x in lat.labels if x != lat.bottom)
-    rows = tuple(tuple(0 if lat.leq(c, x) else 1 for c in cols) for x in lat.labels)
-    return BoolMatrix(rows, cols, lat.labels)
+    return _down_matrix(lat, tuple(x for x in lat.labels if x != lat.bottom))
 
 
 # -- lattice of flats of a matrix ----------------------------------------------
@@ -543,10 +544,10 @@ def congruent(m1: BoolMatrix, m2: BoolMatrix) -> bool:
         return False
 
     def colsig(m: BoolMatrix):
-        rw = [sum(r) for r in m.rows]
+        rw = [r.bit_count() for r in m.ones_masks]
         sigs = []
         for j in range(m.n_cols):
-            ones = sorted(rw[i] for i in range(m.n_rows) if m.rows[i][j] == 1)
+            ones = sorted(w for w, r in zip(rw, m.ones_masks) if r >> j & 1)
             sigs.append((len(ones), tuple(ones)))
         return sigs
 
@@ -556,19 +557,16 @@ def congruent(m1: BoolMatrix, m2: BoolMatrix) -> bool:
     classes: dict = {}
     for j, s in enumerate(s2):
         classes.setdefault(s, []).append(j)
-    rows2 = sorted(m2.rows)
+    rows2 = sorted(m2.ones_masks)
     order1 = sorted(range(m1.n_cols), key=lambda j: s1[j])
 
     used = [False] * m2.n_cols
     assign = [0] * m1.n_cols
 
     def rec(k: int) -> bool:
-        if k == len(order1):
-            perm = [0] * m1.n_cols
-            for j in range(m1.n_cols):
-                perm[assign[j]] = j
-            rows1 = sorted(tuple(r[perm[t]] for t in range(m1.n_cols)) for r in m1.rows)
-            return rows1 == rows2
+        if k == len(order1):  # column j of m1 goes to column assign[j]
+            return sorted(sum(1 << assign[j] for j in _bits(r))
+                          for r in m1.ones_masks) == rows2
         j = order1[k]
         for t in classes.get(s1[j], ()):
             if not used[t]:

@@ -12,7 +12,6 @@ most one.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +37,6 @@ from .lattice import (
     _bits,
     closure_op,
     family_matrix,
-    flat_label,
     generated_lattice,
     mask_label,
 )
@@ -436,52 +434,44 @@ def stack_matrices(m1: BoolMatrix, m2: BoolMatrix) -> BoolMatrix:
         raise GroundMismatch(m1.col_labels, m2.col_labels)
     auto = all(re.fullmatch(r"r\d+", l)
                for m in (m1, m2) for l in m.row_labels)
-    rows, labels = [], []
-    seen_rows: set[tuple[int, ...]] = set()
+    rows: dict[int, str] = {}  # mask -> label, in first-occurrence order
     taken: set[str] = set()
     for m in (m1, m2):
-        for label, r in zip(m.row_labels, m.rows):
-            if r in seen_rows:
-                continue
-            seen_rows.add(r)
-            lbl = f"r{len(rows)}" if auto else _fresh_label(label, taken)
-            taken.add(lbl)
-            rows.append(r)
-            labels.append(lbl)
-    return BoolMatrix(tuple(rows), m1.col_labels, tuple(labels))
+        for label, r in zip(m.row_labels, m.ones_masks):
+            if r not in rows:
+                lbl = f"r{len(rows)}" if auto else _fresh_label(label, taken)
+                taken.add(lbl)
+                rows[r] = lbl
+    return BoolMatrix.from_masks(tuple(rows), m1.col_labels, tuple(rows.values()))
 
 
 def rowsum_closure(m: BoolMatrix) -> BoolMatrix:
     """Close the rows under boolean sum and adjoin the zero row.
 
     Original rows keep their labels and order; generated rows are appended in
-    a canonical order, labelled by their zero sets.  The closure can have 2^n
-    rows, so more than ROWSUM_MAX_ROWS distinct sums raise TooLarge.
+    a canonical order (by row sum, then as the 0/1 rows compare: by the
+    column-reversed mask), labelled by their zero sets.  The closure can have
+    2^n rows, so more than ROWSUM_MAX_ROWS distinct sums raise TooLarge.
     """
-    base = [tuple(r) for r in m.rows]
+    base = m.ones_masks
     seen = set(base)
-    frontier = list(seen)
-    while frontier:
-        r = frontier.pop()
-        for s in base:
-            t = tuple(a | b for a, b in zip(r, s))
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-                if len(seen) > ROWSUM_MAX_ROWS:
-                    raise TooLarge(f"row-sum closure exceeds {ROWSUM_MAX_ROWS} rows")
-    zero = tuple(0 for _ in m.col_labels)
-    seen.add(zero)
-    new_rows = sorted(seen - set(base), key=lambda r: (sum(r), r))
-    rows = list(base) + new_rows
+    cap = max(ROWSUM_MAX_ROWS, len(seen))  # only a generated row can pass the cap
+    for s in base:  # now every OR of a nonempty subset of the rows so far
+        seen |= {r | s for r in seen}
+        if len(seen) > cap:
+            raise TooLarge(f"row-sum closure exceeds {ROWSUM_MAX_ROWS} rows")
+    seen.add(0)
+    w = m.n_cols
+    new_rows = sorted(seen.difference(base),
+                      key=lambda r: (r.bit_count(), int(format(r, f"0{w}b")[::-1], 2)))
     labels = list(m.row_labels)
     taken = set(labels)
+    full = (1 << w) - 1
     for r in new_rows:
-        zset = frozenset(c for c, v in zip(m.col_labels, r) if v == 0)
-        lbl = _fresh_label(flat_label(zset, m.col_labels), taken)
+        lbl = _fresh_label(mask_label(full & ~r, m.col_labels), taken)
         taken.add(lbl)
         labels.append(lbl)
-    return BoolMatrix(tuple(rows), m.col_labels, tuple(labels))
+    return BoolMatrix.from_masks(base + tuple(new_rows), m.col_labels, tuple(labels))
 
 
 # -- counting up to ground bijection ------------------------------------------------------
@@ -577,46 +567,33 @@ def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
 # -- matrix-level representation tests ----------------------------------------------------
 
 
-def matrix_represents(hc: HereditaryCollection, m: BoolMatrix) -> bool:
-    """Witness check: facets of H independent, circuits dependent.
-
-    Dependence is upward closed and independence downward closed, so checking
-    the facets and the circuits covers every subset of E.
-    """
-    if tuple(m.col_labels) != tuple(hc.ground):
-        raise GroundMismatch(m.col_labels, hc.ground)
-    masks = m.ones_masks
+def _peel_represents(hc: HereditaryCollection, masks: Sequence[int]) -> bool:
+    """Do these row masks represent hc?  Facets of H independent, circuits
+    dependent: dependence is upward closed and independence downward closed,
+    so checking the facets and the circuits covers every subset of E."""
     return (all(_peel(masks, f) for f in hc._facet_masks)
             and not any(_peel(masks, c) for c in hc._circuit_masks))
 
 
+def matrix_represents(hc: HereditaryCollection, m: BoolMatrix) -> bool:
+    """Witness check: facets of H independent, circuits dependent."""
+    if tuple(m.col_labels) != tuple(hc.ground):
+        raise GroundMismatch(m.col_labels, hc.ground)
+    return _peel_represents(hc, m.ones_masks)
+
+
 def is_rowmin(hc: HereditaryCollection, m: BoolMatrix) -> bool:
     """Every single-row deletion breaks the representation."""
-    if m.dedupe_rows().n_rows != m.n_rows:
+    masks = m.ones_masks
+    if len(set(masks)) != len(masks):
         raise FormatError("rowmin is defined for reduced (distinct-row) matrices")
     if not matrix_represents(hc, m):
         raise NotRepresentable("the matrix does not represent the collection")
-    cols = range(m.n_cols)
-    for i in range(m.n_rows):
-        rest = [j for j in range(m.n_rows) if j != i]
-        if matrix_represents(hc, m.submatrix(rest, cols)):
-            return False
-    return True
+    return not any(_peel_represents(hc, masks[:i] + masks[i + 1:])
+                   for i in range(len(masks)))
 
 
 # -- minimum degree -------------------------------------------------------------------------
-
-
-def _leaf_ok(hc: HereditaryCollection, row_masks: Sequence[int]) -> bool:
-    """Do the rows with these zero sets represent hc?  No column is all zero
-    (the rows meet in the empty set) and every independent set of two or more
-    points has a witnessing row (`HereditaryCollection._witnesses`)."""
-    wit, every = hc._witnesses
-    meet, cov = hc.full_mask, 0
-    for z in row_masks:
-        meet &= z
-        cov |= wit[z]
-    return meet == 0 and cov == every
 
 
 def mindeg(hc: HereditaryCollection,
@@ -627,16 +604,21 @@ def mindeg(hc: HereditaryCollection,
     Any reduced representation's rows are complement indicators of flats, so
     the search runs over subsets of Fl minus E by increasing size, starting
     at the rank (a largest independent set needs that many witness rows).
-    Rows represent when they meet in 0 and witness every independent set of
-    two or more points (`_leaf_ok`), so a node ORs its rows' witness bits and
-    branches on the rows witnessing the lowest uncovered bit (fewest
-    witnesses first).
+    Rows represent when they witness every independent set x, that is, some
+    row z has |z & x| = |x| - 1.  The sets of two or more points have their
+    witness bits (`HereditaryCollection._witnesses`); each point p gets one
+    more bit, numbered after those, set in the rows that miss p (x = {p}:
+    the rows then meet in the empty set).  A node ORs its rows' witness
+    bits, records its rows once they cover every bit, and otherwise branches
+    on the rows witnessing the lowest uncovered bit (fewest witnesses first,
+    the points last).
 
     A node with `left` rows still to choose is cut when the `left` largest
-    gains, each row's count of uncovered witness bits, add up to fewer than
-    the uncovered bits: no `left` rows can then cover them, so no leaf below
-    it represents.  The cut only drops subtrees without accepted leaves, so
-    the search reaches the same leaves in the same order and returns the
+    gains, each row's count of uncovered set bits, add up to fewer than
+    the uncovered set bits: no `left` rows can then cover them, so no node
+    below it records.  The point bits stay out of the bound, which they
+    would only weaken.  The cut only drops subtrees without recorded rows, so
+    the search records the same row sets in the same order and returns the
     same k, witnesses and `enumerate_all` set.
 
     At the root, until some first row has led to a representing k-set, a
@@ -645,13 +627,14 @@ def mindeg(hc: HereditaryCollection,
     banned row lies in no representing k-set, and an automorphism maps
     representing row sets onto representing row sets, so neither does any
     image of it: the rows skipped or banned this way would only have led to
-    rejected leaves.  After a hit, `banned` holds a row of a representing
-    set, a later failure only rules out the sets that avoid it, and rows
-    are banned one at a time.  The leaves accepted, and their order, stay
-    the same.  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
+    nodes that record nothing.  After a hit, `banned` holds a row of a
+    representing set, a later failure only rules out the sets that avoid
+    it, and rows are banned one at a time.  The row sets recorded, and their
+    order, stay the same.  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
 
-    The rows returned are not re-checked: each passed `_leaf_ok`, which is
-    the representation test itself.
+    No recorded set has fewer than k rows, since the sizes below k found
+    none; the rows returned are not re-checked, as covering every witness
+    bit is the representation test itself.
     """
     if not hc.is_simple():
         raise NotSimple("minimum degree needs a simple collection")
@@ -663,25 +646,15 @@ def mindeg(hc: HereditaryCollection,
     witnessed_by = [sorted(map(index.__getitem__, zs)) for zs in hc._witness_sets]
     if not all(witnessed_by):
         raise NotRepresentable("the collection has no boolean representation")
-    wit, every = hc._witnesses
-    cand_wit = [wit[z] for z in cands]
-
-    def to_matrix(row_masks: Sequence[int]) -> BoolMatrix:
-        rows = tuple(
-            tuple(0 if (z >> i) & 1 else 1 for i in range(len(hc.ground)))
-            for z in row_masks)
-        labels = tuple(mask_label(z, hc.ground) for z in row_masks)
-        return BoolMatrix(rows, hc.ground, labels)
+    wit, sets = hc._witnesses
+    n_sets = sets.bit_length()
+    witnessed_by += [[i for i, z in enumerate(cands) if not z >> p & 1]
+                     for p in range(len(hc.ground))]
+    cand_wit = [wit[z] | (full & ~z) << n_sets for z in cands]
+    every = sets | full << n_sets
 
     found: list[tuple[int, ...]] = []
     nodes = 0
-
-    def leaf(rows: Iterable[int]) -> bool:
-        masks = sorted(cands[i] for i in rows)
-        if _leaf_ok(hc, masks):
-            found.append(tuple(masks))
-            return True
-        return False
 
     def rec(chosen: int, banned: int, cov: int) -> bool:
         """Extend chosen (a set of cand indices, none banned) to k rows; cov
@@ -690,41 +663,36 @@ def mindeg(hc: HereditaryCollection,
         nodes += 1
         if nodes > MINDEG_MAX_NODES:
             raise TooLarge(f"mindeg search exceeds its budget of {MINDEG_MAX_NODES} nodes")
-        if cov != every:
-            low = ~cov & every
-            opts = [i for i in witnessed_by[(low & -low).bit_length() - 1]
-                    if not banned >> i & 1]
-            left = k - chosen.bit_count()
-            if not left or not opts:
-                return False
-            # the gain bound: can the `left` largest gains cover low?
-            gains = sorted(map(int.bit_count, map(low.__and__, cand_wit)))
-            if sum(gains[-left:]) < low.bit_count():
-                return False
-            hit = False
-            for i in opts:
-                if banned >> i & 1:
-                    continue  # in the orbit of a failed first row
-                if rec(chosen | 1 << i, banned, cov | cand_wit[i]):
-                    hit = True
-                    if not enumerate_all:
-                        return True
-                banned |= (1 << i if chosen or hit
-                           else sum(1 << index[z] for z in _mask_orbit(hc, cands[i])))
-            return hit
-        if chosen.bit_count() == k:
-            return leaf(_bits(chosen))
-        rest = [i for i in range(len(cands)) if not (banned | chosen) >> i & 1]
+        if cov == every:
+            found.append(tuple(sorted(cands[i] for i in _bits(chosen))))
+            return True
+        low = ~cov & every
+        opts = [i for i in witnessed_by[(low & -low).bit_length() - 1]
+                if not banned >> i & 1]
+        left = k - chosen.bit_count()
+        if not left or not opts:
+            return False
+        # the gain bound: can the `left` largest gains cover the uncovered sets?
+        low &= sets
+        gains = sorted(map(int.bit_count, map(low.__and__, cand_wit)))
+        if sum(gains[-left:]) < low.bit_count():
+            return False
         hit = False
-        for extra in itertools.combinations(rest, k - chosen.bit_count()):
-            if leaf(itertools.chain(_bits(chosen), extra)):
+        for i in opts:
+            if banned >> i & 1:
+                continue  # in the orbit of a failed first row
+            if rec(chosen | 1 << i, banned, cov | cand_wit[i]):
                 hit = True
                 if not enumerate_all:
                     return True
+            banned |= (1 << i if chosen or hit
+                       else sum(1 << index[z] for z in _mask_orbit(hc, cands[i])))
         return hit
 
     for k in range(hc.rank, len(cands) + 1):
         rec(0, 0, 0)
         if found:
-            return k, [to_matrix(m) for m in sorted(set(found))]
+            return k, [BoolMatrix.from_masks(tuple(full & ~z for z in rows), hc.ground,
+                                             tuple(mask_label(z, hc.ground) for z in rows))
+                       for rows in sorted(set(found))]
     raise NotRepresentable("no representing row set found")  # unreachable

@@ -55,27 +55,59 @@ def _auto_cols(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
-    """An immutable 0/1 matrix with labelled rows and ground-set columns."""
+def _check_labels(n_rows: int, col_labels: Sequence[str], row_labels: Sequence[str]
+                  ) -> None:
+    if len(set(col_labels)) != len(col_labels):
+        raise FormatError("duplicate column labels")
+    if len(set(row_labels)) != len(row_labels):
+        raise FormatError("duplicate row labels")
+    if len(row_labels) != n_rows:
+        raise FormatError("row label count does not match row count")
 
-    rows: tuple[tuple[int, ...], ...]
+
+@dataclass(frozen=True, init=False)
+class BoolMatrix:
+    """An immutable 0/1 matrix with labelled rows and ground-set columns.
+
+    Each row is stored as `ones_masks`, the mask of its columns holding a 1
+    (bit i is column i); the 0/1 tuples in `rows` are made on first use.
+    """
+
+    ones_masks: tuple[int, ...]
     col_labels: tuple[str, ...]
     row_labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.col_labels)) != len(self.col_labels):
-            raise FormatError("duplicate column labels")
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise FormatError("duplicate row labels")
-        if len(self.row_labels) != len(self.rows):
-            raise FormatError("row label count does not match row count")
-        w = len(self.col_labels)
-        for r in self.rows:
+    def __init__(self, rows: Sequence[Sequence[int]], col_labels: Sequence[str],
+                 row_labels: Sequence[str]) -> None:
+        _check_labels(len(rows), col_labels, row_labels)
+        w = len(col_labels)
+        masks = []
+        for r in rows:
             if len(r) != w:
                 raise FormatError("ragged row")
             if any(v not in (0, 1) for v in r):
                 raise FormatError("entries must be 0 or 1")
+            masks.append(sum(1 << i for i, v in enumerate(r) if v))
+        self._store(tuple(masks), col_labels, row_labels)
+
+    def _store(self, masks: tuple[int, ...], col_labels: Sequence[str],
+               row_labels: Sequence[str]) -> None:
+        object.__setattr__(self, "ones_masks", masks)
+        object.__setattr__(self, "col_labels", tuple(col_labels))
+        object.__setattr__(self, "row_labels", tuple(row_labels))
+
+    @classmethod
+    def from_masks(cls, masks: Sequence[int], col_labels: Sequence[str],
+                   row_labels: Sequence[str]) -> "BoolMatrix":
+        """The matrix whose rows have 1s at the set bits of the masks, validated."""
+        _check_labels(len(masks), col_labels, row_labels)
+        full = (1 << len(col_labels)) - 1
+        for m in masks:
+            if m & ~full:
+                raise FormatError(f"mask {m} outside the columns")
+        obj = object.__new__(cls)
+        obj._store(tuple(masks), col_labels, row_labels)
+        return obj
 
     @classmethod
     def build(
@@ -94,7 +126,7 @@ class BoolMatrix:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.ones_masks)
 
     @property
     def n_cols(self) -> int:
@@ -105,37 +137,10 @@ class BoolMatrix:
         return {c: i for i, c in enumerate(self.col_labels)}
 
     @cached_property
-    def ones_masks(self) -> tuple[int, ...]:
-        """Per-row bitmask of columns holding a 1 (bit i = column i)."""
-        out = []
-        for r in self.rows:
-            m = 0
-            for i, v in enumerate(r):
-                if v:
-                    m |= 1 << i
-            out.append(m)
-        return tuple(out)
-
-    # -- derived matrices ------------------------------------------------------
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
-        return BoolMatrix(
-            tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx),
-            tuple(self.col_labels[j] for j in col_idx),
-            tuple(self.row_labels[i] for i in row_idx),
-        )
-
-    def dedupe_rows(self) -> "BoolMatrix":
-        """Drop duplicate rows, keeping the first occurrence from the top."""
-        seen: set[tuple[int, ...]] = set()
-        keep = []
-        for i, r in enumerate(self.rows):
-            if r not in seen:
-                seen.add(r)
-                keep.append(i)
-        if len(keep) == self.n_rows:
-            return self
-        return self.submatrix(keep, range(self.n_cols))
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as 0/1 tuples (a view of `ones_masks`)."""
+        w = self.n_cols
+        return tuple(tuple(m >> i & 1 for i in range(w)) for m in self.ones_masks)
 
     # -- text format -----------------------------------------------------------
 
@@ -149,8 +154,9 @@ class BoolMatrix:
         auto = all(_AUTO_ROW.match(l) for l in self.row_labels) and list(
             self.row_labels
         ) == list(_auto_rows(self.n_rows))
-        for label, r in zip(self.row_labels, self.rows):
-            bits = "".join(str(v) for v in r)
+        w = self.n_cols
+        for label, m in zip(self.row_labels, self.ones_masks):
+            bits = "".join("01"[m >> i & 1] for i in range(w))
             lines.append(bits if auto else f"row: {label} {bits}")
         return "\n".join(lines) + "\n"
 
@@ -160,7 +166,7 @@ class BoolMatrix:
         if not lines or not lines[0].startswith("cols:"):
             raise FormatError("matrix text must start with a 'cols:' line")
         cols = tuple(lines[0][len("cols:"):].split())
-        rows, labels = [], []
+        masks, labels = [], []
         for k, ln in enumerate(lines[1:]):
             if ln.startswith("row:"):
                 parts = ln[len("row:"):].split()
@@ -172,8 +178,8 @@ class BoolMatrix:
             if not set(bits) <= {"0", "1"} or len(bits) != len(cols):
                 raise FormatError(f"bad bit string on line: {ln!r}")
             labels.append(label)
-            rows.append(tuple(int(b) for b in bits))
-        return cls(tuple(rows), cols, tuple(labels))
+            masks.append(int(bits[::-1], 2))  # bits is nonempty: blank lines are dropped
+        return cls.from_masks(masks, cols, labels)
 
     def __str__(self) -> str:
         return self.to_text()

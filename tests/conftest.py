@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -32,14 +33,17 @@ from boolrep.lattice import (
     FlatFamily,
     VGenLattice,
     _bits,
+    flat_label,
     mask_label,
     mask_to_labels,
 )
 from boolrep.hereditary import HereditaryCollection, _submasks, is_boolean_representable, \
     permuted
 from boolrep.maps import VCongruence, quotient_lattice
-from boolrep.reps import MINDEG_MAX_NODES, _leaf_ok, _smi_masks, matrix_represents
-from boolrep.sbcore import MATRIX_RANK_MAX_PEELS, SB, BoolMatrix, Witness, _peel
+from boolrep.reps import MINDEG_MAX_NODES, ROWSUM_MAX_ROWS, _fresh_label, _smi_masks, \
+    matrix_represents
+from boolrep.sbcore import MATRIX_RANK_MAX_PEELS, SB, BoolMatrix, Witness, _AUTO_ROW, \
+    _auto_rows, _peel
 
 
 def fs(*items):
@@ -359,6 +363,15 @@ def permanent_oracle(m: BoolMatrix) -> SB:
     return total
 
 
+def submatrix(m: BoolMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> BoolMatrix:
+    """The rows row_idx and the columns col_idx of m, in those orders."""
+    return BoolMatrix(
+        tuple(tuple(m.rows[i][j] for j in col_idx) for i in row_idx),
+        tuple(m.col_labels[j] for j in col_idx),
+        tuple(m.row_labels[i] for i in row_idx),
+    )
+
+
 def col_index(m: BoolMatrix, label: str) -> int:
     try:
         return m._col_index[label]
@@ -375,7 +388,7 @@ def independent_oracle(m: BoolMatrix, cols) -> bool:
     if k > m.n_rows:
         return False
     for rows in itertools.combinations(range(m.n_rows), k):
-        sub = m.submatrix(rows, idx)
+        sub = submatrix(m, rows, idx)
         if permanent_oracle(sub) is SB.ONE:
             return True
     return False
@@ -488,6 +501,158 @@ def all_hcs(n: int) -> tuple:
 
     rec(0, set())
     return tuple(out)
+
+
+# -- tuple-row matrix builders ------------------------------------------------------------
+#
+# The builders as they stood when BoolMatrix stored 0/1 tuples, kept verbatim:
+# they read and write `rows`, and are the oracles of the mask builders.
+
+
+def matrix_to_text_by_rows(m: BoolMatrix) -> str:
+    lines = ["cols: " + " ".join(m.col_labels)]
+    auto = all(_AUTO_ROW.match(l) for l in m.row_labels) and list(
+        m.row_labels
+    ) == list(_auto_rows(m.n_rows))
+    for label, r in zip(m.row_labels, m.rows):
+        bits = "".join(str(v) for v in r)
+        lines.append(bits if auto else f"row: {label} {bits}")
+    return "\n".join(lines) + "\n"
+
+
+def matrix_from_text_by_rows(text: str) -> BoolMatrix:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("cols:"):
+        raise FormatError("matrix text must start with a 'cols:' line")
+    cols = tuple(lines[0][len("cols:"):].split())
+    rows, labels = [], []
+    for k, ln in enumerate(lines[1:]):
+        if ln.startswith("row:"):
+            parts = ln[len("row:"):].split()
+            if len(parts) != 2:
+                raise FormatError(f"bad row line: {ln!r}")
+            label, bits = parts
+        else:
+            label, bits = f"r{k}", ln
+        if not set(bits) <= {"0", "1"} or len(bits) != len(cols):
+            raise FormatError(f"bad bit string on line: {ln!r}")
+        labels.append(label)
+        rows.append(tuple(int(b) for b in bits))
+    return BoolMatrix(tuple(rows), cols, tuple(labels))
+
+
+def stack_matrices_by_rows(m1: BoolMatrix, m2: BoolMatrix) -> BoolMatrix:
+    if m1.col_labels != m2.col_labels:
+        raise GroundMismatch(m1.col_labels, m2.col_labels)
+    auto = all(re.fullmatch(r"r\d+", l)
+               for m in (m1, m2) for l in m.row_labels)
+    rows, labels = [], []
+    seen_rows: set[tuple[int, ...]] = set()
+    taken: set[str] = set()
+    for m in (m1, m2):
+        for label, r in zip(m.row_labels, m.rows):
+            if r in seen_rows:
+                continue
+            seen_rows.add(r)
+            lbl = f"r{len(rows)}" if auto else _fresh_label(label, taken)
+            taken.add(lbl)
+            rows.append(r)
+            labels.append(lbl)
+    return BoolMatrix(tuple(rows), m1.col_labels, tuple(labels))
+
+
+def rowsum_closure_by_rows(m: BoolMatrix) -> BoolMatrix:
+    base = [tuple(r) for r in m.rows]
+    seen = set(base)
+    frontier = list(seen)
+    while frontier:
+        r = frontier.pop()
+        for s in base:
+            t = tuple(a | b for a, b in zip(r, s))
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+                if len(seen) > ROWSUM_MAX_ROWS:
+                    raise TooLarge(f"row-sum closure exceeds {ROWSUM_MAX_ROWS} rows")
+    zero = tuple(0 for _ in m.col_labels)
+    seen.add(zero)
+    new_rows = sorted(seen - set(base), key=lambda r: (sum(r), r))
+    rows = list(base) + new_rows
+    labels = list(m.row_labels)
+    taken = set(labels)
+    for r in new_rows:
+        zset = frozenset(c for c, v in zip(m.col_labels, r) if v == 0)
+        lbl = _fresh_label(flat_label(zset, m.col_labels), taken)
+        taken.add(lbl)
+        labels.append(lbl)
+    return BoolMatrix(tuple(rows), m.col_labels, tuple(labels))
+
+
+def family_matrix_by_rows(fam: FlatFamily) -> BoolMatrix:
+    n = len(fam.ground)
+    rows, row_labels = [], []
+    for m in fam.sorted_masks():
+        rows.append(tuple(1 - ((m >> i) & 1) for i in range(n)))
+        row_labels.append(mask_label(m, fam.ground))
+    return BoolMatrix(tuple(rows), fam.ground, tuple(row_labels))
+
+
+def matrix_of_by_rows(vg: VGenLattice) -> BoolMatrix:
+    lat = vg.lattice
+    rows = tuple(
+        tuple(0 if lat.leq(c, x) else 1 for c in vg.gens) for x in lat.labels
+    )
+    return BoolMatrix(rows, vg.gens, lat.labels)
+
+
+def full_matrix_by_rows(lat: FiniteLattice) -> BoolMatrix:
+    cols = tuple(x for x in lat.labels if x != lat.bottom)
+    rows = tuple(tuple(0 if lat.leq(c, x) else 1 for c in cols) for x in lat.labels)
+    return BoolMatrix(rows, cols, lat.labels)
+
+
+def congruent_by_rows(m1: BoolMatrix, m2: BoolMatrix) -> bool:
+    if m1.n_rows != m2.n_rows or m1.n_cols != m2.n_cols:
+        return False
+
+    def colsig(m: BoolMatrix):
+        rw = [sum(r) for r in m.rows]
+        sigs = []
+        for j in range(m.n_cols):
+            ones = sorted(rw[i] for i in range(m.n_rows) if m.rows[i][j] == 1)
+            sigs.append((len(ones), tuple(ones)))
+        return sigs
+
+    s1, s2 = colsig(m1), colsig(m2)
+    if sorted(s1) != sorted(s2):
+        return False
+    classes: dict = {}
+    for j, s in enumerate(s2):
+        classes.setdefault(s, []).append(j)
+    rows2 = sorted(m2.rows)
+    order1 = sorted(range(m1.n_cols), key=lambda j: s1[j])
+
+    used = [False] * m2.n_cols
+    assign = [0] * m1.n_cols
+
+    def rec(k: int) -> bool:
+        if k == len(order1):
+            perm = [0] * m1.n_cols
+            for j in range(m1.n_cols):
+                perm[assign[j]] = j
+            rows1 = sorted(tuple(r[perm[t]] for t in range(m1.n_cols)) for r in m1.rows)
+            return rows1 == rows2
+        j = order1[k]
+        for t in classes.get(s1[j], ()):
+            if not used[t]:
+                used[t] = True
+                assign[j] = t
+                if rec(k + 1):
+                    return True
+                used[t] = False
+        return False
+
+    return rec(0)
 
 
 # -- definitional oracles for the library's flats, closure, rank and walk ----------------
@@ -622,7 +787,7 @@ def reduced_matrix(rec) -> BoolMatrix:
     """Only the rows that are not boolean sums of others (zero row dropped)."""
     keep = set(_smi_masks(rec.family.masks, rec.hc.full_mask))
     idx = [i for i, m in enumerate(rec.family.sorted_masks()) if m in keep]
-    return rec.matrix.submatrix(idx, range(len(rec.hc.ground)))
+    return submatrix(rec.matrix, idx, range(len(rec.hc.ground)))
 
 
 def closure_ordering(hc: HereditaryCollection, xs):
@@ -732,6 +897,20 @@ def rep_report_by_records(args, which: str) -> int:
         lines.append("  " + "; ".join("{" + ",".join(m) + "}" for m in fam["family"]))
     _emit(args, payload, lines)
     return 0
+
+
+def _leaf_ok(hc: HereditaryCollection, row_masks: Sequence[int]) -> bool:
+    """Do the rows with these zero sets represent hc?  No column is all zero
+    (the rows meet in the empty set) and every independent set of two or more
+    points has a witnessing row (`HereditaryCollection._witnesses`).  The leaf
+    test of `mindeg_unbounded`; reps.mindeg covers the points by witness
+    bits instead."""
+    wit, every = hc._witnesses
+    meet, cov = hc.full_mask, 0
+    for z in row_masks:
+        meet &= z
+        cov |= wit[z]
+    return meet == 0 and cov == every
 
 
 def mindeg_unbounded(hc: HereditaryCollection,

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import boolrep
 from boolrep import errors, hereditary, reps, sbcore
 from boolrep.cli import build_parser, main
-from conftest import rep_report_by_records
+from conftest import matrix_from_text_by_rows, matrix_to_text_by_rows, rep_report_by_records, \
+    rowsum_closure_by_rows, stack_matrices_by_rows
 
 # the child process imports boolrep from where this process found it
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(boolrep.__file__)))
@@ -586,3 +587,84 @@ class TestCollectionContractFuzz:
             assert issubclass(getattr(errors, err["error"]), errors.BoolrepError)
         if outside:
             assert code == 1 and err["error"] == "FormatError"
+
+
+# -- contract fuzz: random and malformed matrix text for stack ---------------------------
+
+
+@st.composite
+def matrix_text(draw, cols):
+    """Text of a matrix over cols: rows of 0/1 bits, plain, after distinct
+    `row:` labels or after labels that may repeat.  Some texts have one
+    fault: a ragged row, a character other than 0 and 1, a `row:` line
+    without bits, or no `cols:` line."""
+    labels = draw(st.sampled_from(["plain", "distinct", "any"]))
+    lines = ["cols: " + " ".join(cols)]
+    for k in range(draw(st.integers(0, 5))):
+        bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=len(cols),
+                                     max_size=len(cols))))
+        if labels == "distinct":
+            bits = f"row: x{k} {bits}"
+        elif labels == "any":
+            bits = f"row: {draw(st.sampled_from(['a', 'b', 'r0', 'r1']))} {bits}"
+        lines.append(bits)
+    fault = draw(st.sampled_from(["", "", "", "", "", "", "ragged", "char", "nobits",
+                                  "nocols"]))
+    if fault == "nocols":
+        del lines[0]
+    elif fault and len(lines) > 1:
+        i = draw(st.integers(1, len(lines) - 1))
+        head, _, bits = lines[i].rpartition(" ")
+        if fault == "ragged":
+            bits = bits[:-1] if len(bits) > 1 and draw(st.booleans()) else bits + "1"
+        elif fault == "char":
+            j = draw(st.integers(0, len(bits)))
+            bits = bits[:j] + draw(st.sampled_from("2x-")) + bits[j + 1:]
+        lines[i] = head if fault == "nobits" and head else f"{head} {bits}".strip()
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def stack_case(draw):
+    """(text1, text2, rowsum): two matrices for `stack`, whose columns
+    may repeat a label or differ between the files; some cases stack an
+    identity of 12 or 13 columns, whose row-sum closure meets the cap."""
+    if draw(st.sampled_from(["eye", "", "", "", ""])):
+        n = draw(st.sampled_from([12, 13]))
+        eye = "".join("0" * i + "1" + "0" * (n - 1 - i) + "\n" for i in range(n))
+        text = "cols: " + " ".join(f"c{j}" for j in range(n)) + "\n" + eye
+        return text, text, True
+    cols = [str(j + 1) for j in range(draw(st.integers(0, 5)))]
+    if cols and draw(st.integers(0, 4)) == 3:
+        cols[-1] = cols[0]  # a repeated column label
+    variant = draw(st.sampled_from(["same", "same", "same", "fewer", "renamed", "reversed"]))
+    cols2 = {"same": cols, "fewer": cols[:-1], "renamed": cols[:-1] + ["z"],
+             "reversed": cols[::-1]}[variant]
+    return draw(matrix_text(cols)), draw(matrix_text(cols2)), draw(st.booleans())
+
+
+class TestStackContractFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=stack_case())
+    def test_exit_code_and_error_object(self, case, tmp_path_factory):
+        text1, text2, rowsum = case
+        paths = []
+        for name, text in (("m1.txt", text1), ("m2.txt", text2)):
+            paths.append(tmp_path_factory.getbasetemp() / name)
+            paths[-1].write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stack", *(["--rowsum"] if rowsum else []), *map(str, paths)])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            obj = json.loads(out.getvalue())
+            assert set(obj) == {"error", "detail"}
+            assert issubclass(getattr(errors, obj["error"]), errors.BoolrepError)
+        else:
+            m1, m2 = (matrix_from_text_by_rows(t) for t in (text1, text2))
+            expect = stack_matrices_by_rows(m1, m2)
+            if rowsum:
+                expect = rowsum_closure_by_rows(expect)
+            # as lines: a failed string comparison of 4 096 rows diffs for minutes
+            assert out.getvalue().split("\n") == matrix_to_text_by_rows(expect).split("\n")

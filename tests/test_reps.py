@@ -29,7 +29,7 @@ from boolrep.hereditary import (
     uniform,
     union_hc,
 )
-from boolrep.lattice import FlatFamily, congruent, flats_of_matrix, \
+from boolrep.lattice import FlatFamily, congruent, flats_of_matrix, full_matrix, \
     lattice_from_matrix, matrix_of
 from boolrep.reps import (
     RepresentationLattice,
@@ -48,8 +48,9 @@ from boolrep.reps import (
     smi_members,
     stack_matrices,
 )
-from boolrep.sbcore import BoolMatrix, columns_independent
+from boolrep.sbcore import BoolMatrix, columns_independent, matrix_rank
 from conftest import (
+    _leaf_ok,
     automorphisms_by_sweep,
     closure_ordering,
     fs,
@@ -818,6 +819,29 @@ class TestMaskFamilies:
         assert got == [(True, True, True, True, 3), (True, True, True, True, 3),
                        (False, True, True, False, 3), (True, True, True, True, 3)]
 
+    def test_no_tuple_rows(self, monkeypatch):
+        # every matrix builder and algorithm reads and writes row masks
+        def refuse(self):
+            raise RuntimeError("a 0/1 tuple row")
+
+        monkeypatch.setattr(BoolMatrix, "rows", property(refuse))
+        hc = fano()
+        m = flat_matrix(hc)
+        with pytest.raises(RuntimeError):
+            m.rows
+        assert columns_independent(m, ("1", "2", "4"))
+        assert not columns_independent(m, ("1", "2", "5"))
+        assert matrix_rank(m) == 3
+        k, witnesses = mindeg(hc)
+        assert k == 4 and matrix_represents(hc, witnesses[0])
+        assert is_rowmin(hc, witnesses[0]) and not is_rowmin(hc, m)
+        assert flats_of_matrix(m)[0] == hc.flats()
+        vg = lattice_from_matrix(m)
+        assert congruent(matrix_of(vg), m)
+        assert congruent(full_matrix(vg.lattice), full_matrix(vg.lattice))
+        stacked = rowsum_closure(stack_matrices(witnesses[0], m))
+        assert BoolMatrix.from_text(stacked.to_text()) == stacked
+
 
 def _smi_by_covers(members, full):
     """The cover count that the meet test replaced: members other than E
@@ -862,7 +886,7 @@ class TestMaskKernelOracles:
         seen = set()
         for _ in range(3000):
             rows = sorted(rng.sample(cands, rng.randint(1, len(cands))))
-            ok = reps._leaf_ok(hc, rows)
+            ok = _leaf_ok(hc, rows)
             assert ok == _leaf_by_meet_closure(hc, rows)
             seen.add(ok)
         assert seen == {True, False}
@@ -1050,7 +1074,7 @@ class TestTuranRows:
         rows = self.turan_rows(n)
         assert len(rows) == (n - 1) ** 2 // 4
         assert set(rows) <= set(hc._flat_masks)
-        assert reps._leaf_ok(hc, rows)
+        assert _leaf_ok(hc, rows)
         matrix = BoolMatrix.build([[0 if z >> i & 1 else 1 for i in range(n)] for z in rows],
                                   col_labels=hc.ground)
         assert matrix_represents(hc, matrix)
@@ -1060,7 +1084,7 @@ class TestTuranRows:
         # without the other, so that pair has no witness: U(3,5) needs one
         # row more than the bound
         hc = uniform(3, 5)
-        assert not reps._leaf_ok(hc, self.turan_rows(5))
+        assert not _leaf_ok(hc, self.turan_rows(5))
         assert mindeg(hc)[0] == 5 == (5 - 1) ** 2 // 4 + 1
 
 

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from boolrep import sbcore
+from boolrep import reps, sbcore
 from boolrep.errors import DimensionError, FormatError, SizeError, TooLarge, UnknownColumn
+from boolrep.lattice import congruent, family_matrix, flats_of_matrix, full_matrix, \
+    lattice_from_matrix, matrix_of
 from boolrep.sbcore import (
     SB,
     BoolMatrix,
@@ -21,9 +23,17 @@ from boolrep.sbcore import (
     _peel,
 )
 from conftest import (
+    congruent_by_rows,
+    family_matrix_by_rows,
+    full_matrix_by_rows,
     independent_oracle,
+    matrix_from_text_by_rows,
+    matrix_of_by_rows,
     matrix_rank_top_down,
+    matrix_to_text_by_rows,
     permanent_oracle,
+    rowsum_closure_by_rows,
+    stack_matrices_by_rows,
     transpose,
     witness_by_backtracking,
     witness_verifies,
@@ -281,3 +291,73 @@ class TestTextFormat:
             BoolMatrix.from_text("cols: a b\n012\n")
         with pytest.raises(FormatError):
             BoolMatrix.from_text("cols: a b\n0\n")
+
+
+def _random_matrix(rng, cols=None):
+    """0-7 random rows over 1-7 columns (or over cols), with auto labels or
+    labelled; returns the rows as lists and the matrix."""
+    cols = cols or tuple(str(j + 1) for j in range(rng.randint(1, 7)))
+    rows = [[rng.randint(0, 1) for _ in cols] for _ in range(rng.randint(0, 7))]
+    labels = rng.sample("abcdefgh", len(rows)) if rng.random() < 0.5 else None
+    return rows, BoolMatrix.build(rows, col_labels=cols, row_labels=labels)
+
+
+def _same(m, oracle):
+    """Equal text bytes, equal rows and equal matrices."""
+    return (m.to_text() == matrix_to_text_by_rows(oracle) and m.rows == oracle.rows
+            and m == oracle)
+
+
+class TestMaskFormat:
+    """BoolMatrix stores each row as a mask, and `rows` is a view: the
+    tuple-row builders of conftest are the oracles of the text format,
+    stacking, the row-sum closure, congruence and the lattice matrices."""
+
+    def test_checks_keep_their_order(self):
+        cases = [((((0, 2), (0,)), "aa", ("x", "x")), "duplicate column labels"),
+                 ((((0, 2), (0,)), "ab", ("x", "x")), "duplicate row labels"),
+                 ((((0, 2), (0,)), "ab", ("x",)), "row label count"),
+                 ((((0, 1), (0,), (2, 2)), "ab", ("x", "y", "z")), "ragged row"),
+                 ((((0, 2), (0,)), "ab", ("x", "y")), "entries must be 0 or 1")]
+        for args, msg in cases:
+            with pytest.raises(FormatError, match=msg):
+                BoolMatrix(*args)
+
+    def test_from_masks(self):
+        m = BoolMatrix.from_masks((0b101, 0), ("a", "b", "c"), ("x", "y"))
+        assert m.rows == ((1, 0, 1), (0, 0, 0))
+        assert m == BoolMatrix(((1, 0, 1), (0, 0, 0)), ("a", "b", "c"), ("x", "y"))
+        cases = [(((1 << 3,), "aac", ("x", "x")), "duplicate column labels"),
+                 (((1 << 3, 0), "abc", ("x", "x")), "duplicate row labels"),
+                 (((1 << 3,), "abc", ()), "row label count"),
+                 (((1 << 3,), "abc", ("x",)), "outside the columns"),
+                 (((-1,), "abc", ("x",)), "outside the columns")]
+        for args, msg in cases:
+            with pytest.raises(FormatError, match=msg):
+                BoolMatrix.from_masks(*args)
+
+    def test_random_matrices_match_tuple_builders(self):
+        rng = random.Random(2300)
+        for _ in range(2000):
+            rows, m = _random_matrix(rng)
+            other = _random_matrix(rng, m.col_labels)[1]
+            assert m.rows == tuple(map(tuple, rows))
+            text = m.to_text()
+            assert _same(BoolMatrix.from_text(text), matrix_from_text_by_rows(text))
+            assert _same(m, matrix_from_text_by_rows(text))
+            stacked = reps.stack_matrices(m, other)
+            assert _same(stacked, stack_matrices_by_rows(m, other))
+            assert _same(reps.rowsum_closure(stacked), rowsum_closure_by_rows(stacked))
+            pr = rng.sample(range(m.n_rows), m.n_rows)
+            pc = rng.sample(range(m.n_cols), m.n_cols)
+            shuffled = [[rows[i][j] for j in pc] for i in pr]
+            if shuffled and rng.random() < 0.5:
+                shuffled[0][0] ^= 1
+            for m2 in (BoolMatrix.build(shuffled, col_labels=m.col_labels), other):
+                assert congruent(m, m2) == congruent_by_rows(m, m2)
+            if all(any(r[j] for r in rows) for j in range(m.n_cols)):
+                fam = flats_of_matrix(m)[0]
+                assert _same(family_matrix(fam), family_matrix_by_rows(fam))
+                vg = lattice_from_matrix(m)
+                assert _same(matrix_of(vg), matrix_of_by_rows(vg))
+                assert _same(full_matrix(vg.lattice), full_matrix_by_rows(vg.lattice))
