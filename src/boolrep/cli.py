@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import geometry, hereditary, lattice, maps, reps, sbcore
@@ -54,12 +55,7 @@ def _emit(args, payload: dict, table_lines=None) -> None:
     if args.format == "table" and table_lines is not None:
         print("\n".join(table_lines))
     else:
-        # written in batches of encoder chunks, so the indented text is never
-        # held whole; one write per chunk (json.dump) is 3x slower into a pipe
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-        for part in iter(lambda: "".join(itertools.islice(chunks, 8192)), ""):
-            sys.stdout.write(part)
-        sys.stdout.write("\n")
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _maybe_dot(args, dot_text: Optional[str]) -> None:
@@ -157,26 +153,32 @@ def cmd_check_paving(args) -> int:
     return 0
 
 
+def _raw_counts(walk: reps.RepresentationLattice) -> tuple[int, int]:
+    """(minimal, sji) families of the walk, read off its child counts."""
+    n = Counter(walk.nchildren.values())
+    return n[0], n[0] + n[1]
+
+
 def _rep_report(args, which: str) -> int:
     hc = _load_hc(args.input)
     walk = reps.RepresentationLattice(hc, max_nontrivial=args.max_flats)
-    minimal = walk.minimal_families()
-    chosen = minimal if which == "minimal" else walk.sji_families()
-    order = sorted(walk.flats, key=lattice.mask_order)
-    pos = {m: i for i, m in enumerate(order)}
-    names = {m: lattice.mask_label(m, hc.ground) for m in order}
+    chosen = walk.sorted_keys(0 if which == "minimal" else 1)
+    flats, nchildren = walk.flats, walk.nchildren
+    # the flat indices in print order: a family prints the set bits of its key
+    by_pos = sorted(range(len(flats)), key=lambda i: lattice.mask_order(flats[i]))
+    names = [lattice.mask_label(m, hc.ground) for m in flats]
     if args.format == "table":
         # the table lists the families only: no counts, matrices or orbits
         _emit(args, {}, [f"{which} representations: {len(chosen)}"] + [
-            "  " + "; ".join(names[m] for m in sorted(f, key=pos.__getitem__))
-            for f in chosen])
+            "  " + "; ".join([names[i] for i in by_pos if key >> i & 1])
+            for key in chosen])
         return 0
     # every count first, so a refusal prints its error object on an empty stdout
     md, _ = reps.mindeg(hc)
     minimal_orbits, sji_orbits = walk.orbit_counts()
-    sji = chosen if which == "sji" else walk.sji_families()
-    counts = {"minimal_raw": len(minimal), "minimal_orbits": minimal_orbits,
-              "sji_raw": len(sji), "sji_orbits": sji_orbits, "mindeg": md}
+    minimal_raw, sji_raw = _raw_counts(walk)
+    counts = {"minimal_raw": minimal_raw, "minimal_orbits": minimal_orbits,
+              "sji_raw": sji_raw, "sji_orbits": sji_orbits, "mindeg": md}
     # the text of json.dumps(payload, indent=2, sort_keys=True), written one
     # family at a time.  Each of the walk's flats gets its label list and its
     # family_matrix line encoded once, at the depth (8 spaces) where a family
@@ -184,26 +186,25 @@ def _rep_report(args, which: str) -> int:
     # pattern, so to_text would print the same `row: {label} bits` lines
     n = len(hc.ground)
     item = ",\n" + " " * 8
-    labels, rows = {}, {}
-    for m in order:
-        labels[m] = json.dumps(lattice.mask_to_list(m, hc.ground), indent=2
-                               ).replace("\n", "\n" + " " * 8)
+    labels, rows = [], []
+    for m, name in zip(flats, names):
+        labels.append(json.dumps(lattice.mask_to_list(m, hc.ground), indent=2
+                                 ).replace("\n", "\n" + " " * 8))
         bits = "".join(str(1 - (m >> j & 1)) for j in range(n))
-        rows[m] = item + json.dumps(f"row: {names[m]} {bits}")
+        rows.append(item + json.dumps(f"row: {name} {bits}"))
     cols = json.dumps("cols: " + " ".join(hc.ground))
-    minset = set(minimal)
     out = sys.stdout
     out.write('{\n  "counts": '
               + json.dumps(counts, indent=2, sort_keys=True).replace("\n", "\n  ")
               + ',\n  "families": [')
     sep = "\n"
-    for f in chosen:
-        ms = sorted(f, key=pos.__getitem__)
+    for key in chosen:
+        ms = [i for i in by_pos if key >> i & 1]
         out.write(sep + '    {\n      "family": [\n        '
-                  + item.join([labels[m] for m in ms])
+                  + item.join([labels[i] for i in ms])
                   + '\n      ],\n      "in_im_theta": true,\n      "matrix": [\n        '
-                  + cols + "".join([rows[m] for m in ms])
-                  + '\n      ],\n      "minimal": ' + ("true" if f in minset else "false")
+                  + cols + "".join([rows[i] for i in ms])
+                  + '\n      ],\n      "minimal": ' + ("false" if nchildren[key] else "true")
                   + ',\n      "sji": true\n    }')
         sep = ",\n"
     out.write("\n  ]\n}\n")  # the walk has a minimal family, so chosen is never empty
@@ -319,9 +320,9 @@ def _reproduce_bigex(args, checks: list) -> None:
                       frozenset("123"), frozenset("1234")]
     _check(checks, "flats", sorted(map(sorted, expected_flats)),
            sorted(map(sorted, hc.flats().members)))
-    walk = reps.RepresentationLattice(hc)
-    _check(checks, "minimal", 6, len(walk.minimal_families()))
-    _check(checks, "sji", 24, len(walk.sji_families()))
+    minimal, sji = _raw_counts(reps.RepresentationLattice(hc))
+    _check(checks, "minimal", 6, minimal)
+    _check(checks, "sji", 24, sji)
     _check(checks, "mindeg", 3, reps.mindeg(hc)[0])
 
 
@@ -345,17 +346,18 @@ def _reproduce_libourne(args, checks: list) -> None:
 
 def _reproduce_fano(args, checks: list) -> None:
     hc = hereditary.fano()
-    walk = reps.RepresentationLattice(hc)
-    _check(checks, "minimal", 7, len(walk.minimal_families()))
-    _check(checks, "sji", 35, len(walk.sji_families()))
+    minimal, sji = _raw_counts(reps.RepresentationLattice(hc))
+    _check(checks, "minimal", 7, minimal)
+    _check(checks, "sji", 35, sji)
     _check(checks, "mindeg", 4, reps.mindeg(hc)[0])
 
 
 def _reproduce_u36(args, checks: list) -> None:
     hc = hereditary.uniform(3, 6)
     walk = reps.RepresentationLattice(hc)
-    _check(checks, "minimal", 221, len(walk.minimal_families()))
-    _check(checks, "sji", 527, len(walk.sji_families()))
+    minimal, sji = _raw_counts(walk)
+    _check(checks, "minimal", 221, minimal)
+    _check(checks, "sji", 527, sji)
     minimal_orbits, sji_orbits = walk.orbit_counts()
     _check(checks, "minimal orbits", 4, minimal_orbits)
     _check(checks, "sji orbits", 7, sji_orbits)

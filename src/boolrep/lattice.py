@@ -108,35 +108,22 @@ class FiniteLattice:
             raise FormatError("duplicate element labels")
         n = len(labels)
         index = {l: i for i, l in enumerate(labels)}
-        succs: list[set[int]] = [set() for _ in range(n)]
+        down = [1 << i for i in range(n)]
         for a, b in cover_pairs:
             if a not in index or b not in index:
                 raise FormatError(f"unknown element in cover pair ({a}, {b})")
             if a == b:
                 raise CycleError(f"self-loop at {a}")
-            succs[index[a]].add(index[b])
-
-        # topological order (Kahn)
-        indeg = [0] * n
-        for a in range(n):
-            for b in succs[a]:
-                indeg[b] += 1
-        queue = [i for i in range(n) if indeg[i] == 0]
-        topo = []
-        while queue:
-            i = queue.pop()
-            topo.append(i)
-            for b in succs[i]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
-        if len(topo) != n:
+            down[index[b]] |= 1 << index[a]
+        # transitive closure (Warshall): once k is done, every down-set that
+        # reaches k holds all of down[k]
+        for k in range(n):
+            for i in range(n):
+                if down[i] >> k & 1:
+                    down[i] |= down[k]
+        # elements on a common cycle lie below each other: equal down-sets
+        if len(set(down)) != n:
             raise CycleError("cover relation contains a cycle")
-
-        down = [1 << i for i in range(n)]
-        for a in topo:
-            for b in succs[a]:
-                down[b] |= down[a]
         return cls(labels, tuple(down))
 
     @classmethod

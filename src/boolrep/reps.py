@@ -40,7 +40,7 @@ from .lattice import (
     generated_lattice,
     mask_label,
 )
-from .sbcore import BoolMatrix, _peel
+from .sbcore import _AUTO_ROW, BoolMatrix, _peel
 
 DEFAULT_MAX_NONTRIVIAL_FLATS = 24
 AUTOMORPHISM_GROUND_CAP = 8
@@ -54,10 +54,6 @@ def _masks_over(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[int]:
     if tuple(fam.ground) != tuple(hc.ground):
         raise GroundMismatch(fam.ground, hc.ground)
     return fam.masks
-
-
-def _canon(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(masks))
 
 
 def check_full_subsemilattice(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[int]:
@@ -190,8 +186,9 @@ class RepresentationLattice:
     points (`HereditaryCollection._witnesses`), so a child P - {z} of a
     representing P represents unless z is the only member of P witnessing
     some set.  `nchildren` maps each member's key to its number of
-    representing children; `members` and the listing methods give frozensets
-    of point masks, made only for the families they return.
+    representing children; `sorted_keys` lists keys, and `members` and the
+    listing methods give frozensets of point masks, made only for the
+    families they return.
 
     Each stack entry carries what its popping needs, made from its parent's
     by removing one member z:
@@ -237,8 +234,7 @@ class RepresentationLattice:
                               for p in _bits(hc.full_mask & ~z)})
         top = (1 << len(flats)) - 1
         smi_top = sum(b for b, a in avoid.items() if b != bit[0] and not all(a))
-        counts = [sum(w >> x & 1 for w in wit_at.values())
-                  for x in range(hc._witnesses[1].bit_length())]
+        counts = list(map(len, hc._witness_sets))
         planes_top = tuple(sum(1 << x for x, c in enumerate(counts) if c >> k & 1)
                            for k in range(max(counts, default=1).bit_length()))
         nchildren = {top: 0}  # every family reached; counts set when popped
@@ -310,18 +306,21 @@ class RepresentationLattice:
     def __contains__(self, fam) -> bool:
         return fam in self.members
 
-    def _sorted_where(self, keep) -> list[frozenset[int]]:
-        return sorted((self._family(k) for k, n in self.nchildren.items() if keep(n)),
-                      key=_canon)
+    def sorted_keys(self, most: Optional[int] = None) -> list[int]:
+        """The keys of the members with at most `most` children (all when
+        None), in the lexicographic order of their sorted member masks."""
+        keys = (self.nchildren if most is None
+                else [k for k, n in self.nchildren.items() if n <= most])
+        return sorted(keys, key=self._members)
 
     def minimal_families(self) -> list[frozenset[int]]:
-        return self._sorted_where(lambda n: n == 0)
+        return list(map(self._family, self.sorted_keys(0)))
 
     def sji_families(self) -> list[frozenset[int]]:
-        return self._sorted_where(lambda n: n <= 1)
+        return list(map(self._family, self.sorted_keys(1)))
 
     def sorted_families(self) -> list[frozenset[int]]:
-        return sorted(self.members, key=_canon)
+        return list(map(self._family, self.sorted_keys()))
 
     def record(self, fam: frozenset[int]) -> RepRecord:
         return RepRecord(self.hc, FlatFamily.unchecked(self.hc.ground, fam))
@@ -428,12 +427,9 @@ def _fresh_label(label: str, taken: set[str]) -> str:
 
 def stack_matrices(m1: BoolMatrix, m2: BoolMatrix) -> BoolMatrix:
     """Concatenate rows, dropping duplicates (first occurrence wins)."""
-    import re
-
     if m1.col_labels != m2.col_labels:
         raise GroundMismatch(m1.col_labels, m2.col_labels)
-    auto = all(re.fullmatch(r"r\d+", l)
-               for m in (m1, m2) for l in m.row_labels)
+    auto = all(_AUTO_ROW.fullmatch(l) for m in (m1, m2) for l in m.row_labels)
     rows: dict[int, str] = {}  # mask -> label, in first-occurrence order
     taken: set[str] = set()
     for m in (m1, m2):

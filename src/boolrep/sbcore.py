@@ -151,9 +151,7 @@ class BoolMatrix:
         auto-generated r0, r1, ... pattern; round-trips bit-exactly.
         """
         lines = ["cols: " + " ".join(self.col_labels)]
-        auto = all(_AUTO_ROW.match(l) for l in self.row_labels) and list(
-            self.row_labels
-        ) == list(_auto_rows(self.n_rows))
+        auto = self.row_labels == _auto_rows(self.n_rows)
         w = self.n_cols
         for label, m in zip(self.row_labels, self.ones_masks):
             bits = "".join("01"[m >> i & 1] for i in range(w))

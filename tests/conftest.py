@@ -20,6 +20,7 @@ from boolrep.cli import _emit, _load_hc, _subsets_sorted
 from boolrep.errors import (
     BoolrepError,
     BottomElement,
+    CycleError,
     FormatError,
     GroundMismatch,
     NotJoinClosed,
@@ -121,6 +122,37 @@ def _canon_key(downs, m):
         if best is None or bits < best:
             best = bits
     return ("exact", m, best)
+
+
+def down_sets_by_reachability(labels: Sequence[str], pairs):
+    """The down-sets `FiniteLattice.from_covers` builds from (lower, upper)
+    pairs, by a search from each element along the pairs, or the (error
+    type, message) it raises.  The checks run in its order: the labels, each
+    pair in turn, then cycles (two elements each below the other)."""
+    if len(set(labels)) != len(labels):
+        return FormatError, "duplicate element labels"
+    index = {l: i for i, l in enumerate(labels)}
+    ups: list[list[int]] = [[] for _ in labels]
+    for a, b in pairs:
+        if a not in index or b not in index:
+            return FormatError, f"unknown element in cover pair ({a}, {b})"
+        if a == b:
+            return CycleError, f"self-loop at {a}"
+        ups[index[a]].append(index[b])
+    down = [0] * len(labels)
+    for i in range(len(labels)):  # i lies below everything it reaches
+        seen, todo = {i}, [i]
+        while todo:
+            for j in ups[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        for j in seen:
+            down[j] |= 1 << i
+    if any(i != j and down[i] >> j & 1 and down[j] >> i & 1
+           for i in range(len(labels)) for j in range(len(labels))):
+        return CycleError, "cover relation contains a cycle"
+    return tuple(down)
 
 
 @lru_cache(maxsize=None)
@@ -858,6 +890,15 @@ def min_smi_degree(walk) -> int:
     reps.mindeg."""
     full = walk.hc.full_mask
     return min(len(_smi_masks(walk._members(k), full)) for k in walk.nchildren)
+
+
+def families_by_canon(walk, most: Optional[int] = None) -> list[frozenset[int]]:
+    """The walk's members with at most `most` children (all when None) as
+    frozensets of point masks, sorted by their sorted mask tuples: the
+    oracle of `RepresentationLattice.sorted_keys` and the listing methods."""
+    fams = (frozenset(walk._members(k)) for k, n in walk.nchildren.items()
+            if most is None or n <= most)
+    return sorted(fams, key=lambda f: tuple(sorted(f)))
 
 
 def rep_report_by_records(args, which: str) -> int:

@@ -469,6 +469,23 @@ class TestRepReport:
             assert main([verb, path]) == 0
             assert len(json.loads(capsys.readouterr().out)["families"]) == count
 
+    @pytest.mark.parametrize("name", ["bigex", "fano", "u36"])
+    def test_builds_no_frozenset_family(self, monkeypatch, capsys, hc_path, name):
+        path = hc_path(name)
+        runs = [["--format", fmt, verb, path]
+                for verb in ("minimal-reps", "sji-reps") for fmt in ("json", "table")]
+        expected = []
+        for argv in runs:
+            code = rep_report_by_records(build_parser().parse_args(argv), argv[2].split("-")[0])
+            expected.append((code, capsys.readouterr().out))
+
+        def refuse(*args):
+            raise RuntimeError("a family was decoded to a frozenset")
+
+        monkeypatch.setattr(reps.RepresentationLattice, "_family", refuse)
+        for argv, want in zip(runs, expected):
+            assert (main(argv), capsys.readouterr().out) == want
+
     def test_table_skips_counts(self, monkeypatch, capsys, hc_path):
         def refuse(*args):
             raise RuntimeError("table mode computed a count it never prints")
@@ -517,6 +534,23 @@ class TestReproduce:
         code, out = run_main(capsys, ["reproduce", target])
         data = json.loads(out)
         assert data["pass"] is True and code == 0
+
+    @pytest.mark.parametrize("target,hc", [("bigex", hereditary.example_bigex),
+                                           ("fano", hereditary.fano)])
+    def test_counts_from_keys(self, monkeypatch, capsys, target, hc):
+        walk = reps.RepresentationLattice(hc())
+        expected = {"minimal": len(walk.minimal_families()), "sji": len(walk.sji_families())}
+        _, before = run_main(capsys, ["reproduce", target])
+
+        def refuse(*args):
+            raise RuntimeError("a family was decoded to a frozenset")
+
+        monkeypatch.setattr(reps.RepresentationLattice, "_family", refuse)
+        code, out = run_main(capsys, ["reproduce", target])
+        data = json.loads(out)
+        assert {c["name"]: c["actual"] for c in data["checks"]
+                if c["name"] in expected} == expected
+        assert (code, data["pass"], out) == (0, True, before)
 
     def test_all_spec_targets_present(self):
         from boolrep.cli import REPRODUCERS

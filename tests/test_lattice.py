@@ -8,6 +8,7 @@ import pytest
 from boolrep.errors import (
     BottomElement,
     CycleError,
+    FormatError,
     NotALattice,
     NotIntersectionClosed,
     ZeroColumn,
@@ -36,6 +37,7 @@ from conftest import (
     all_lattice_masks,
     all_lattices,
     c_independence_chain_by_search,
+    down_sets_by_reachability,
     fs,
     lattices_up_to,
     random_vgen,
@@ -91,6 +93,37 @@ class TestConstruction:
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
             lattice_from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+
+    def test_from_covers_closure_matches_reachability(self):
+        class DownSets(FiniteLattice):  # keeps the closure, skips the lattice checks
+            def __init__(self, labels, down):
+                self.down = down
+
+        rng = random.Random(20000)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            labels = [f"e{i}" for i in range(n)]
+            order = rng.sample(labels, n)
+            pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]
+                     if rng.random() < 0.3]
+            bad = rng.random()
+            if bad < 0.2:  # a pair against the order: usually a cycle
+                pairs.insert(rng.randint(0, len(pairs)),
+                             (rng.choice(labels), rng.choice(labels)))
+            elif bad < 0.25:
+                pairs.insert(rng.randint(0, len(pairs)), (rng.choice(labels), "x"))
+            elif bad < 0.3:
+                labels.append(rng.choice(labels))
+            rng.shuffle(labels)
+            expect = down_sets_by_reachability(labels, pairs)
+            try:
+                got = DownSets.from_covers(labels, pairs).down
+            except (CycleError, FormatError) as e:
+                got = type(e), str(e)
+            assert got == expect, (labels, pairs)
+            outcomes.add(expect[0] if isinstance(expect[0], type) else "closure")
+        assert outcomes == {"closure", CycleError, FormatError}
 
     def test_redundant_cover_pairs_are_reduced(self):
         l = lattice_from_covers(["B", "a", "T"],

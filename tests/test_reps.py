@@ -53,6 +53,7 @@ from conftest import (
     _leaf_ok,
     automorphisms_by_sweep,
     closure_ordering,
+    families_by_canon,
     fs,
     min_smi_degree,
     mindeg_unbounded,
@@ -265,6 +266,19 @@ class TestWalk:
         assert sum(n == 0 for n in walk.nchildren.values()) == 1764
         assert sum(n <= 1 for n in walk.nchildren.values()) == 4921
         assert walk.orbit_counts() == (6, 10)
+
+    @pytest.mark.parametrize("name", ["bigex", "fano", "u25", "u36"])
+    def test_sorted_keys_in_canon_order(self, name, request):
+        if name == "u36":
+            walk = request.getfixturevalue("u36_walk")
+        else:
+            walk = RepresentationLattice(
+                {"bigex": BIGEX, "fano": fano(), "u25": uniform(2, 5)}[name])
+        for most, listing in ((0, walk.minimal_families), (1, walk.sji_families),
+                              (None, walk.sorted_families)):
+            expect = families_by_canon(walk, most)
+            assert [frozenset(walk._members(k)) for k in walk.sorted_keys(most)] == expect
+            assert listing() == expect
 
     def test_im_theta_stream_sorted(self):
         fams = RepresentationLattice(BIGEX).sorted_families()
