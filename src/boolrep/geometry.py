@@ -312,11 +312,11 @@ def mpeg_from_json(text: str) -> MPeg:
     return MPeg(ground, strata)
 
 
-def peg_dot(g: PEG, name: str = "geometry") -> str:
+def peg_dot(g: PEG) -> str:
     """Levi-style diagram: line nodes in a rank above the point nodes."""
     order = {p: i for i, p in enumerate(g.points)}
     lines = sorted(g.lines, key=lambda l: sorted(order[x] for x in l))
-    out = [f"graph {name} {{"]
+    out = ["graph geometry {"]
     out.append("  node [shape=circle]; " +
                " ".join(f'"{p}"' for p in g.points) + ";")
     names = {}

@@ -46,6 +46,51 @@ def permuted(mask: int, perm: Sequence[int]) -> int:
     return t
 
 
+def _image_tables(gens: Sequence[Sequence[int]], masks: Iterable[int]
+                  ) -> tuple[dict[int, int], list[list[int]]]:
+    """A bit for each of the distinct masks and for each of their images
+    under the group the index permutations gens generate (numbered in order
+    of appearance), and per generator the bit of each numbered mask's image:
+    the mask with bit 1 << i goes to the mask whose bit is the i-th entry.
+    A set of masks keyed over the bits maps to one int under each generator.
+    For masks closed under the group, bit i stands for the i-th mask."""
+    order = list(masks)
+    bit = {z: 1 << i for i, z in enumerate(order)}
+    tables: list[list[int]] = [[] for _ in gens]
+    for z in order:  # images not yet numbered join the end of the list
+        for p, table in zip(gens, tables):
+            w = permuted(z, p)
+            if w not in bit:
+                bit[w] = 1 << len(order)
+                order.append(w)
+            table.append(bit[w])
+    return bit, tables
+
+
+def _orbits(keys: Iterable[int], images: Sequence[Sequence[int]]) -> Iterator[set[int]]:
+    """The orbits of the keys, each as a set of keys, yielded when its first
+    key is met; later keys of a met orbit are one lookup each.  A key is an
+    OR of bits 1 << i, and each image table sends bit 1 << i to its i-th
+    entry (`_image_tables`).  The orbit is a search over the tables: the
+    group is finite, so closure under the generators is closure under the
+    group.  This is exact for any key list, invariant under the group or
+    not, and costs |orbit| x |generators| key images per orbit met."""
+    seen: set[int] = set()
+    for key in keys:
+        if key in seen:
+            continue
+        orbit, todo = {key}, [key]
+        while todo:
+            idx = list(_bits(todo.pop()))
+            for image in images:
+                k = sum(map(image.__getitem__, idx))
+                if k not in orbit:
+                    orbit.add(k)
+                    todo.append(k)
+        seen |= orbit
+        yield orbit
+
+
 def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...]:
     """A strong generating set, for the base 0, 1, ..., n-1, of the index
     permutations p of n points with p(S) in hm exactly when S is in hm.
@@ -85,6 +130,7 @@ def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...
     cell = [cells[k] for k in key]
     img = list(range(1 << n))  # img[S] = p(S) for S inside the assigned points
     gens: list[tuple[int, ...]] = []
+    points: list[list[int]] = []  # per generator g, the point bit x to g[x]
 
     def extend(p: list[int], t: int, used: int, cands) -> Optional[tuple[int, ...]]:
         top = 1 << t
@@ -107,20 +153,15 @@ def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...
         return None
 
     for i in reversed(range(n)):
-        orbit = {i}  # the generators found so far fix i
+        orbit = {1 << i}  # the point bits of i's orbit: the generators so far fix i
         for j in range(i + 1, n):
-            if j in orbit or cell[j] is not cell[i]:
+            if 1 << j in orbit or cell[j] is not cell[i]:
                 continue
             g = extend(list(range(i)), i, (1 << i) - 1, (j,))
             if g:
                 gens.append(g)
-                todo = list(orbit)
-                while todo:
-                    x = todo.pop()
-                    for h in gens:
-                        if h[x] not in orbit:
-                            orbit.add(h[x])
-                            todo.append(h[x])
+                points.append([1 << x for x in g])
+                orbit = next(_orbits([1 << i], points))
     return tuple(gens)
 
 
@@ -376,7 +417,8 @@ class HereditaryCollection:
     @cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Every automorphism, in lexicographic order: the closure of the
-        strong generating set under composition."""
+        strong generating set under composition.  It closes group elements,
+        not int keys, so it does not go through `_orbits`."""
         ident = tuple(range(len(self.ground)))
         seen, todo = {ident}, [ident]
         while todo:

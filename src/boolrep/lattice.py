@@ -149,10 +149,6 @@ class FiniteLattice:
         return len(self.labels)
 
     @property
-    def elements(self) -> tuple[str, ...]:
-        return self.labels
-
-    @property
     def bottom(self) -> str:
         return self.labels[self.bottom_i]
 
@@ -635,12 +631,12 @@ def lattice_from_text(text: str):
     return VGenLattice(lat, tuple(gens))
 
 
-def hasse_dot(obj, name: str = "lattice") -> str:
+def hasse_dot(obj) -> str:
     """DOT source for the Hasse diagram; edges point bottom-up, gens get *."""
     vg = obj if isinstance(obj, VGenLattice) else None
     lat = vg.lattice if vg else obj
     gens = set(vg.gens) if vg else set()
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=plaintext];"]
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for x in lat.labels:
         text = x + ("*" if x in gens else "")
         lines.append(f'  "{x}" [label="{text}"];')

@@ -523,5 +523,9 @@ def map_from_text(text: str, source: FiniteLattice, target: FiniteLattice) -> VM
             raise FormatError(f"bad map line: {ln!r}")
         body = ln[len("map:"):]
         x, y = (p.strip() for p in body.split("->", 1))
+        if x not in source._index:
+            raise FormatError(f"map line for {x!r}, not in the source")
+        if x in mapping:
+            raise FormatError(f"repeated map line for {x!r}")
         mapping[x] = y
     return VMap(source, target, mapping)

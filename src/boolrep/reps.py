@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     FormatError,
@@ -28,8 +28,9 @@ from .errors import (
 from .hereditary import (
     HereditaryCollection,
     _chain_admissible,
+    _image_tables,
+    _orbits,
     is_boolean_representable,
-    permuted,
 )
 from .lattice import (
     FlatFamily,
@@ -133,14 +134,6 @@ class RepRecord:
         """Rows indexed by all family members (size order), columns by E."""
         return family_matrix(self.family)
 
-    @cached_property
-    def smi_rows(self) -> frozenset[frozenset[str]]:
-        return smi_members(self.hc, self.family)
-
-    @property
-    def degree(self) -> int:
-        return len(self.smi_rows)
-
 
 def order_le(r1: RepRecord, r2: RepRecord) -> bool:
     """The representation order: inclusion of flat families."""
@@ -209,7 +202,7 @@ class RepresentationLattice:
         if not hc.is_simple():
             raise NotSimple("representation theory needs a simple collection")
         self.hc = hc
-        self.flats = flats = tuple(sorted(hc._flat_masks))
+        self.flats = flats = hc._flat_masks
         nontrivial = [m for m in flats if m not in (0, hc.full_mask)]
         if len(nontrivial) > max_nontrivial:
             raise TooLarge(
@@ -326,18 +319,20 @@ class RepresentationLattice:
         return RepRecord(self.hc, FlatFamily.unchecked(self.hc.ground, fam))
 
     def orbit_counts(self) -> tuple[int, int]:
-        """(minimal, sji) orbits under the collection's automorphisms.
+        """(minimal, sji) orbits under the collection's automorphisms,
+        refused with TooLarge past AUTOMORPHISM_GROUND_CAP points.
 
         The automorphisms permute the members and keep each one's number of
-        children, so every orbit of sji families is all minimal or all not:
-        one expansion over the sji keys counts both.  The flats are closed
-        under the automorphisms, so `_image_tables` numbers them as the keys
-        do."""
+        children, so every member of an orbit of sji families is minimal or
+        none is: one `_orbits` pass over the sji keys counts both, reading
+        any member's child count.  The flats are closed under the
+        automorphisms, so `_image_tables` numbers them as the keys do."""
         sji_keys = (k for k, n in self.nchildren.items() if n <= 1)
+        images = _image_tables(_generators(self.hc), self.flats)[1]
         minimal = sji = 0
-        for key in _orbit_starts(sji_keys, _image_tables(self.hc, self.flats)[1]):
+        for orbit in _orbits(sji_keys, images):
             sji += 1
-            minimal += self.nchildren[key] == 0
+            minimal += self.nchildren[next(iter(orbit))] == 0
         return minimal, sji
 
 
@@ -488,65 +483,15 @@ def automorphisms(hc: HereditaryCollection) -> list[dict[str, str]]:
     return [{g[i]: g[j] for i, j in enumerate(p)} for p in hc._automorphisms]
 
 
-def _image_tables(hc: HereditaryCollection, masks: Iterable[int]
-                  ) -> tuple[dict[int, int], list[list[int]]]:
-    """A bit for each of the distinct masks and for each of their images
-    under the automorphisms (numbered in order of appearance), and per
-    generator the bit of each numbered mask's image: the mask with bit 1 << i
-    goes to the mask whose bit is the i-th entry.  A family keyed over the
-    bits maps to one int under each generator."""
-    gens = _generators(hc)
-    order = list(masks)
-    bit = {z: 1 << i for i, z in enumerate(order)}
-    tables: list[list[int]] = [[] for _ in gens]
-    for z in order:  # images not yet numbered join the end of the list
-        for p, table in zip(gens, tables):
-            w = permuted(z, p)
-            if w not in bit:
-                bit[w] = 1 << len(order)
-                order.append(w)
-            table.append(bit[w])
-    return bit, tables
-
-
-def _mask_orbit(hc: HereditaryCollection, z: int) -> set[int]:
-    """The images of mask z under hc's automorphisms, by a search over the
-    generators; z alone past AUTOMORPHISM_GROUND_CAP, where no generator
-    search runs."""
-    if len(hc.ground) > AUTOMORPHISM_GROUND_CAP:
-        return {z}
-    gens = hc._automorphism_generators
-    seen, todo = {z}, [z]
-    while todo:
-        w = todo.pop()
-        for g in gens:
-            v = permuted(w, g)
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
-
-
-def _orbit_starts(keys: Iterable[int], images: Sequence[Sequence[int]]) -> Iterator[int]:
-    """The keys that start a new orbit.  The first key of each orbit adds its
-    whole orbit to `seen`, by a search over the generators' images (the
-    group is finite, so closure under the generators is closure under the
-    group), and later keys of that orbit are one lookup each.  This is exact
-    for any key list, invariant under the group or not, and costs |orbit| x
-    |generators| family images per orbit met."""
-    seen: set[int] = set()
-    for key in keys:
-        if key not in seen:
-            yield key
-            seen.add(key)
-            todo = [key]
-            while todo:
-                idx = list(_bits(todo.pop()))
-                for image in images:
-                    k = sum(map(image.__getitem__, idx))
-                    if k not in seen:
-                        seen.add(k)
-                        todo.append(k)
+def _orbit_masks(gens: Sequence[Sequence[int]], masks: Sequence[int]) -> list[int]:
+    """For masks closed under the group gens generate, where bit i stands
+    for masks[i]: per mask, the OR of the bits of its orbit's members."""
+    orbit_of = [0] * len(masks)
+    for orbit in _orbits((1 << i for i in range(len(masks))), _image_tables(gens, masks)[1]):
+        bits = sum(orbit)
+        for b in orbit:
+            orbit_of[b.bit_length() - 1] = bits
+    return orbit_of
 
 
 def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
@@ -555,9 +500,9 @@ def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
         return 0
     hc = records[0].hc
     fams = [_masks_over(hc, rec.family) for rec in records]
-    bit, images = _image_tables(hc, frozenset().union(*fams))
+    bit, images = _image_tables(_generators(hc), frozenset().union(*fams))
     keys = (sum(map(bit.__getitem__, fam)) for fam in fams)
-    return sum(1 for _ in _orbit_starts(keys, images))
+    return sum(1 for _ in _orbits(keys, images))
 
 
 # -- matrix-level representation tests ----------------------------------------------------
@@ -618,15 +563,19 @@ def mindeg(hc: HereditaryCollection,
     same k, witnesses and `enumerate_all` set.
 
     At the root, until some first row has led to a representing k-set, a
-    failed first row bans its whole orbit under the automorphisms of H
-    (`_mask_orbit`, made on first need), not just itself.  Up to then every
-    banned row lies in no representing k-set, and an automorphism maps
-    representing row sets onto representing row sets, so neither does any
-    image of it: the rows skipped or banned this way would only have led to
-    nodes that record nothing.  After a hit, `banned` holds a row of a
-    representing set, a later failure only rules out the sets that avoid
-    it, and rows are banned one at a time.  The row sets recorded, and their
-    order, stay the same.  Over MINDEG_MAX_NODES nodes in all raise TooLarge.
+    failed first row bans its whole orbit under the automorphisms of H, not
+    just itself.  Up to then every banned row lies in no representing k-set,
+    and an automorphism maps representing row sets onto representing row
+    sets, so neither does any image of it: the rows skipped or banned this
+    way would only have led to nodes that record nothing.  After a hit,
+    `banned` holds a row of a representing set, a later failure only rules
+    out the sets that avoid it, and rows are banned one at a time.  The row
+    sets recorded, and their order, stay the same.  The candidates are
+    closed under the automorphisms (E is fixed), so the first failed root
+    row partitions them into orbits once per call (`_orbit_masks`), and each
+    later ban is one OR.  Past AUTOMORPHISM_GROUND_CAP points no generator
+    search runs and each row is its own orbit.  Over MINDEG_MAX_NODES nodes
+    in all raise TooLarge.
 
     No recorded set has fewer than k rows, since the sizes below k found
     none; the rows returned are not re-checked, as covering every witness
@@ -651,6 +600,7 @@ def mindeg(hc: HereditaryCollection,
 
     found: list[tuple[int, ...]] = []
     nodes = 0
+    orbit_of: list[int] = []  # per cand, the bits of its orbit, once a root row fails
 
     def rec(chosen: int, banned: int, cov: int) -> bool:
         """Extend chosen (a set of cand indices, none banned) to k rows; cov
@@ -681,8 +631,14 @@ def mindeg(hc: HereditaryCollection,
                 hit = True
                 if not enumerate_all:
                     return True
-            banned |= (1 << i if chosen or hit
-                       else sum(1 << index[z] for z in _mask_orbit(hc, cands[i])))
+            if chosen or hit:
+                banned |= 1 << i
+                continue
+            if not orbit_of:  # the first failed root row: no generators past the cap
+                gens = (hc._automorphism_generators
+                        if len(hc.ground) <= AUTOMORPHISM_GROUND_CAP else ())
+                orbit_of.extend(_orbit_masks(gens, cands))
+            banned |= orbit_of[i]
         return hit
 
     for k in range(hc.rank, len(cands) + 1):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boolrep
-from boolrep import errors, hereditary, reps, sbcore
+from boolrep import errors, hereditary, lattice, reps, sbcore
 from boolrep.cli import build_parser, main
 from conftest import matrix_from_text_by_rows, matrix_to_text_by_rows, rep_report_by_records, \
     rowsum_closure_by_rows, stack_matrices_by_rows
@@ -221,6 +221,20 @@ class TestMapsFactorize:
         data = json.loads(out)
         assert len(data["steps"]) == 1
         assert data["steps"][0]["kind"] == "mps"
+
+    @pytest.mark.parametrize("extra", ["map: Z -> B", "map: a -> B"],
+                             ids=["outside-source", "repeated"])
+    def test_stray_map_line_exits_1(self, tmp_path, capsys, extra):
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        mp = tmp_path / "map.txt"
+        src.write_text("elements: B a T\ncovers: B < a\ncovers: a < T\n")
+        tgt.write_text("elements: B T\ncovers: B < T\n")
+        mp.write_text(f"map: B -> B\nmap: a -> T\nmap: T -> T\n{extra}\n")
+        code, out = run_main(capsys, ["maps-factorize", "--source", str(src),
+                                      "--target", str(tgt), "--map", str(mp)])
+        assert code == 1
+        assert json.loads(out)["error"] == "FormatError"
 
 
 class TestErrorsAndCodes:
@@ -702,3 +716,183 @@ class TestStackContractFuzz:
                 expect = rowsum_closure_by_rows(expect)
             # as lines: a failed string comparison of 4 096 rows diffs for minutes
             assert out.getvalue().split("\n") == matrix_to_text_by_rows(expect).split("\n")
+
+
+# -- contract fuzz: lattice, geometry and map text for geo, mpeg and maps-factorize ----
+
+
+CAP = lattice.DEFAULT_LATTICE_CAP
+
+
+@st.composite
+def lattice_case(draw):
+    """(text, lattice, fault): the text of the lattice generated by a random
+    intersection-closed family over up to four points, with at most one
+    fault.  The faults: a cover cycle, a repeated element label, a malformed
+    `covers:` or `gens:` line, an unknown line, no `gens:` line, or a chain
+    of more than CAP elements in place of the lattice."""
+    n = draw(st.integers(1, 4))
+    full = (1 << n) - 1
+    masks = {0, full, *draw(st.lists(st.integers(1, full), max_size=6))}
+    if draw(st.booleans()):
+        masks |= {1 << i for i in range(n)}
+    while True:  # close under intersection
+        meets = {a & b for a in masks for b in masks} - masks
+        if not meets:
+            break
+        masks |= meets
+    vg = lattice.generated_lattice(lattice.FlatFamily.from_masks(
+        tuple(str(i + 1) for i in range(n)), frozenset(masks)))
+    lines = lattice.lattice_to_text(vg).splitlines()
+    lat, bottom, top = vg.lattice, vg.lattice.bottom, vg.lattice.top
+    fault = draw(st.sampled_from(["", "", "", "cycle", "dup", "covers", "gens", "line",
+                                  "nogens", "big"]))
+    if fault == "cycle":
+        lines.append(f"covers: {top} < {bottom}")
+    elif fault == "dup":
+        lines[0] += " " + draw(st.sampled_from(lat.labels))
+    elif fault == "covers":
+        x = draw(st.sampled_from(lat.labels))
+        lines.append(draw(st.sampled_from(
+            [f"covers: {x} {top}", "covers:", f"covers: {x} <", f"covers: {x} < nosuch"])))
+    elif fault == "gens":
+        g = vg.gens[0]
+        lines[-1] = draw(st.sampled_from(
+            ["gens:", "gens: nosuch", f"gens: {g} {g}", f"gens: {bottom}"]))
+    elif fault == "line":
+        lines.insert(draw(st.integers(0, len(lines))), "tops: 1")
+    elif fault == "nogens":
+        del lines[-1]
+    elif fault == "big":
+        chain = [f"c{i}" for i in range(draw(st.integers(CAP + 1, CAP + 4)))]
+        lines = ["elements: " + " ".join(chain),
+                 *(f"covers: {a} < {b}" for a, b in zip(chain, chain[1:])),
+                 "gens: " + " ".join(chain[1:])]
+    return "\n".join(lines) + "\n", vg, fault
+
+
+@st.composite
+def geo_json_case(draw):
+    """(text, fault) for `geo --to-lattice` or `mpeg --to-lattice`: a
+    random geometry over up to five points, a repeated point label, or one
+    whose lattice would exceed CAP elements."""
+    verb = draw(st.sampled_from(["geo", "mpeg"]))
+    fault = draw(st.sampled_from(["", "", "dup", "big"]))
+    n = CAP + 1 if fault == "big" else draw(st.integers(1, 5))
+    points = [str(i + 1) for i in range(n)]
+    if fault == "dup":
+        points.append(points[0])
+    subsets = draw(st.lists(st.lists(st.sampled_from(points[:5]), min_size=2, max_size=4),
+                            max_size=4))
+    if verb == "geo":
+        return verb, json.dumps({"points": points, "lines": subsets}), fault
+    strata = [[[p] for p in points], subsets, [points]]
+    return verb, json.dumps({"ground": points, "strata": strata}), fault
+
+
+@st.composite
+def map_case(draw):
+    """(source, target, map text, fault) for `maps-factorize`: the identity,
+    the map sending all but the bottom to the top, or a random assignment,
+    with at most one fault in one of the texts.  The map faults: a line for
+    an element outside the source, a repeated line, a malformed line, or a
+    missing line."""
+    src, vg, src_fault = draw(lattice_case())
+    lat = vg.lattice
+    kind = draw(st.sampled_from(["identity", "collapse", "random"]))
+    if kind == "random":
+        tgt, tvg, tgt_fault = draw(lattice_case())
+        mapping = {x: draw(st.sampled_from(tvg.lattice.labels)) for x in lat.labels}
+    else:
+        tgt, tgt_fault = src, src_fault
+        mapping = {x: x if kind == "identity" or x == lat.bottom else lat.top
+                   for x in lat.labels}
+    lines = [f"map: {x} -> {y}" for x, y in mapping.items()]
+    fault = draw(st.sampled_from(["", "", "", "outside", "repeated", "malformed", "missing"]))
+    if fault == "outside":
+        lines.append(f"map: nosuch -> {lat.top}")
+    elif fault == "repeated":
+        lines.append(lines[0])
+    elif fault == "malformed":
+        lines.append(draw(st.sampled_from([f"map: {lat.top} {lat.top}", "map:", "to: a -> b"])))
+    elif fault == "missing":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return src, tgt, "\n".join(lines) + "\n", fault, src_fault or tgt_fault
+
+
+def assert_contract(argv, stdin_text=""):
+    """Run main; the exit code is 0 or 1, exit 1 prints one error object, and
+    no lattice over CAP elements is built.  Returns (code, error name)."""
+    sizes = []
+    init = lattice.FiniteLattice.__init__
+
+    def counted_init(self, labels, down):
+        sizes.append(len(labels))
+        init(self, labels, down)
+
+    from_covers = lattice.FiniteLattice.from_covers.__func__
+
+    def counted_from_covers(cls, elements, pairs):
+        sizes.append(len(elements))
+        return from_covers(cls, elements, pairs)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), \
+            mock.patch.object(lattice.FiniteLattice, "__init__", counted_init), \
+            mock.patch.object(lattice.FiniteLattice, "from_covers",
+                              classmethod(counted_from_covers)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert max(sizes, default=0) <= CAP
+    if code == 0:
+        return code, None
+    obj = json.loads(out.getvalue())
+    assert set(obj) == {"error", "detail"}
+    assert issubclass(getattr(errors, obj["error"]), errors.BoolrepError)
+    return code, obj["error"]
+
+
+# the error a fault of lattice_case raises while its text is parsed
+PARSE_ERROR = {"cycle": "CycleError", "dup": "FormatError", "covers": "FormatError",
+               "line": "FormatError", "big": "TooLarge"}
+
+
+class TestLatticeContractFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(verb=st.sampled_from(["geo", "mpeg"]), case=lattice_case())
+    def test_lattice_text(self, verb, case):
+        text, _, fault = case
+        code, error = assert_contract([verb], text)
+        if fault in PARSE_ERROR:
+            assert error == PARSE_ERROR[fault]
+        elif fault == "gens" or (fault == "nogens" and verb == "geo"):
+            assert code == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=geo_json_case())
+    def test_geometry_json(self, case):
+        verb, text, fault = case
+        code, error = assert_contract([verb, "--to-lattice"], text)
+        if fault == "big":
+            assert error == "TooLarge"
+        elif fault == "dup":
+            assert code == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=map_case())
+    def test_maps_factorize(self, case, tmp_path_factory):
+        src, tgt, text, fault, lattice_fault = case
+        paths = []
+        for name, body in (("src.txt", src), ("tgt.txt", tgt), ("map.txt", text)):
+            paths.append(tmp_path_factory.getbasetemp() / name)
+            paths[-1].write_text(body)
+        code, error = assert_contract(["maps-factorize", "--source", str(paths[0]),
+                                       "--target", str(paths[1]), "--map", str(paths[2])])
+        if lattice_fault in PARSE_ERROR:
+            assert error == PARSE_ERROR[lattice_fault]
+        elif lattice_fault == "gens":
+            assert code == 1
+        elif fault:
+            assert error == "FormatError"

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from boolrep.errors import (
+    FormatError,
     JoinViolation,
     NotACongruence,
     NotADownset,
@@ -161,6 +162,16 @@ class TestVMap:
         text = map_to_text(phi)
         back = map_from_text(text, lat, lat)
         assert back.mapping == phi.mapping
+
+    @pytest.mark.parametrize("extra", ["map: Z -> a", "map: a -> b"],
+                             ids=["outside-source", "repeated"])
+    def test_text_refuses_a_stray_line(self, extra):
+        # a line for an element outside the source, or a second line for one
+        # inside it, is a format error, not an extra or overriding entry
+        lat = diamond()
+        text = map_to_text(identity_map(lat)) + extra + "\n"
+        with pytest.raises(FormatError):
+            map_from_text(text, lat, lat)
 
 
 class TestFactorization:

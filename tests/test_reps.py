@@ -1049,26 +1049,39 @@ class TestGainBound:
 
 
 class TestRootOrbits:
-    """The orbits that the mindeg root bans: the search over the generators
-    (`reps._mask_orbit`) against the images under every automorphism (the
+    """The orbits that the mindeg root bans: the candidate partition
+    (`reps._orbit_masks`) against the images under every automorphism (the
     closure `hc._automorphisms`), and no group past the cap."""
 
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_orbits_match_group(self, name):
         hc = SYMMETRIC[name]
         group = hc._automorphisms
-        for z in hc._flat_masks:
-            assert reps._mask_orbit(hc, z) == {hereditary.permuted(z, p) for p in group}
+        cands = [z for z in hc._flat_masks if z != hc.full_mask]
+        orbit_of = reps._orbit_masks(hc._automorphism_generators, cands)
+        for z, bits in zip(cands, orbit_of):
+            assert {cands[i] for i in lattice._bits(bits)} == \
+                {hereditary.permuted(z, p) for p in group}
 
     def test_no_group_past_the_cap(self, monkeypatch):
-        hc = uniform(3, reps.AUTOMORPHISM_GROUND_CAP + 1)
+        # U(2,9) fails first rows at k = 2..7 and needs 8 rows; past the cap
+        # the one partition of the call has every candidate alone
+        hc = uniform(2, reps.AUTOMORPHISM_GROUND_CAP + 1)
+        partitions = []
+        orbit_masks = reps._orbit_masks
 
         def refuse(*args):
             raise RuntimeError("a generator search past the cap")
 
+        def recorded(gens, cands):
+            partitions.append((cands, orbit_masks(gens, cands)))
+            return partitions[-1][1]
+
         monkeypatch.setattr(hereditary, "_strong_generators", refuse)
-        for z in hc._flat_masks:
-            assert reps._mask_orbit(hc, z) == {z}
+        monkeypatch.setattr(reps, "_orbit_masks", recorded)
+        assert mindeg(hc)[0] == 8
+        [(cands, orbit_of)] = partitions
+        assert orbit_of == [1 << i for i in range(len(cands))]
 
 
 class TestTuranRows:
