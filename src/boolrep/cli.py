@@ -375,7 +375,7 @@ def _reproduce_u36(args, checks: list) -> None:
             adj[j] |= 1 << i
         triangle = any(adj[i] & adj[j] for i, j in edges)
         crit = (not triangle) and singles >= 5
-        if crit != (masks in walk.members):
+        if crit != (masks in walk):
             agree = False
             break
     _check(checks, "girth criterion agreement", True, agree)

@@ -23,8 +23,8 @@ from .errors import (
     WrongSize,
 )
 from .hereditary import HereditaryCollection, _json_label_sets, _json_labels
-from .lattice import FiniteLattice, FlatFamily, VGenLattice, check_lattice_cap, \
-    flat_label, generated_lattice, labels_to_mask
+from .lattice import FiniteLattice, FlatFamily, VGenLattice, c_independent, \
+    check_lattice_cap, flat_label, generated_lattice, labels_to_mask
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,6 @@ def lattice_hyperplanes(vg: VGenLattice) -> frozenset[frozenset[str]]:
 
 def four_subset_independent_via_hyperplane(vg: VGenLattice, xs: Iterable[str]) -> bool:
     """Height-4 test: all triples independent and a hyperplane meets xs in 3."""
-    from .lattice import c_independent  # local import to avoid a cycle
-
     lat = vg.lattice
     if lat.height() != 4:
         raise WrongHeight(f"needs height 4, got {lat.height()}")
@@ -306,6 +304,8 @@ def mpeg_from_json(text: str) -> MPeg:
     if not isinstance(data["strata"], list):
         raise FormatError("'strata' must be an array")
     ground = tuple(_json_labels(data["ground"], "'ground'"))
+    if len(set(ground)) != len(ground):
+        raise FormatError("duplicate ground labels")
     strata = tuple(
         frozenset(frozenset(p) for p in _json_label_sets(stratum, "each stratum"))
         for stratum in data["strata"])

@@ -603,7 +603,7 @@ def lattice_to_text(obj) -> str:
 
 def lattice_from_text(text: str):
     """Parse the text format; returns VGenLattice when a gens line is present."""
-    elements: list[str] = []
+    elements: Optional[list[str]] = None
     pairs: list[tuple[str, str]] = []
     gens: Optional[list[str]] = None
     for ln in text.splitlines():
@@ -611,6 +611,8 @@ def lattice_from_text(text: str):
         if not ln or ln.startswith("#"):
             continue
         if ln.startswith("elements:"):
+            if elements is not None:
+                raise FormatError("repeated elements: line")
             elements = ln[len("elements:"):].split()
         elif ln.startswith("covers:"):
             body = ln[len("covers:"):]
@@ -619,6 +621,8 @@ def lattice_from_text(text: str):
             a, b = (p.strip() for p in body.split("<", 1))
             pairs.append((a, b))
         elif ln.startswith("gens:"):
+            if gens is not None:
+                raise FormatError("repeated gens: line")
             gens = ln[len("gens:"):].split()
         else:
             raise FormatError(f"unrecognized line: {ln!r}")

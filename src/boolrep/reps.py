@@ -145,25 +145,7 @@ def order_le(r1: RepRecord, r2: RepRecord) -> bool:
 # -- the walk over representing subfamilies --------------------------------------------
 
 
-class _Families(Set):
-    """A walk's families as frozensets of point masks, made on demand."""
-
-    _from_iterable = frozenset  # set algebra on the view gives frozensets
-
-    def __init__(self, walk: "RepresentationLattice"):
-        self._walk = walk
-
-    def __len__(self) -> int:
-        return len(self._walk.nchildren)
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return map(self._walk._family, self._walk.nchildren)
-
-    def __contains__(self, fam) -> bool:
-        return self._walk._key(fam) in self._walk.nchildren
-
-
-class RepresentationLattice:
+class RepresentationLattice(Set):
     """All representing subfamilies of Fl(E,H), with minimal/sji structure.
 
     Built by walking down from the full flat family, removing one smi member
@@ -179,9 +161,10 @@ class RepresentationLattice:
     points (`HereditaryCollection._witnesses`), so a child P - {z} of a
     representing P represents unless z is the only member of P witnessing
     some set.  `nchildren` maps each member's key to its number of
-    representing children; `sorted_keys` lists keys, and `members` and the
-    listing methods give frozensets of point masks, made only for the
-    families they return.
+    representing children; `sorted_keys` lists keys.  The walk is itself
+    the set of its families: iterating it and the listing methods give
+    frozensets of point masks, made only for the families they return, and
+    membership tests a key.
 
     Each stack entry carries what its popping needs, made from its parent's
     by removing one member z:
@@ -264,9 +247,7 @@ class RepresentationLattice:
                         borrow &= ~p
                     stack.append((child, grown, tuple(lower)))
             nchildren[key] = count
-        self.top = frozenset(flats)
         self.nchildren = nchildren
-        self.members = _Families(self)
 
     def _members(self, key: int) -> list[int]:
         """The flat masks of a key, in increasing order."""
@@ -293,11 +274,16 @@ class RepresentationLattice:
             key |= b
         return key
 
+    _from_iterable = frozenset  # set algebra on a walk gives frozensets
+
     def __len__(self) -> int:
         return len(self.nchildren)
 
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return map(self._family, self.nchildren)
+
     def __contains__(self, fam) -> bool:
-        return fam in self.members
+        return self._key(fam) in self.nchildren
 
     def sorted_keys(self, most: Optional[int] = None) -> list[int]:
         """The keys of the members with at most `most` children (all when
@@ -483,17 +469,6 @@ def automorphisms(hc: HereditaryCollection) -> list[dict[str, str]]:
     return [{g[i]: g[j] for i, j in enumerate(p)} for p in hc._automorphisms]
 
 
-def _orbit_masks(gens: Sequence[Sequence[int]], masks: Sequence[int]) -> list[int]:
-    """For masks closed under the group gens generate, where bit i stands
-    for masks[i]: per mask, the OR of the bits of its orbit's members."""
-    orbit_of = [0] * len(masks)
-    for orbit in _orbits((1 << i for i in range(len(masks))), _image_tables(gens, masks)[1]):
-        bits = sum(orbit)
-        for b in orbit:
-            orbit_of[b.bit_length() - 1] = bits
-    return orbit_of
-
-
 def count_up_to_e_bijection(records: Sequence[RepRecord]) -> int:
     """Orbits of the records' families under the collection's automorphisms."""
     if not records:
@@ -571,11 +546,16 @@ def mindeg(hc: HereditaryCollection,
     `banned` holds a row of a representing set, a later failure only rules
     out the sets that avoid it, and rows are banned one at a time.  The row
     sets recorded, and their order, stay the same.  The candidates are
-    closed under the automorphisms (E is fixed), so the first failed root
-    row partitions them into orbits once per call (`_orbit_masks`), and each
-    later ban is one OR.  Past AUTOMORPHISM_GROUND_CAP points no generator
-    search runs and each row is its own orbit.  Over MINDEG_MAX_NODES nodes
-    in all raise TooLarge.
+    closed under the automorphisms (E is fixed), so a failed root row's
+    orbit is a set of candidates, expanded over the generators' point tables
+    (`_orbits`) once per call and kept under that row.  The root tries the
+    same rows in the same order at every k, so an earlier member of the
+    orbit would have been tried first and either failed, banning the row,
+    or hit, ending the orbit bans: only that row of its orbit ever fails
+    at the root, and a later ban of the orbit is one lookup and one OR.
+    Past AUTOMORPHISM_GROUND_CAP points no generator search runs and each
+    row is its own orbit.  Over MINDEG_MAX_NODES nodes in all raise
+    TooLarge.
 
     No recorded set has fewer than k rows, since the sizes below k found
     none; the rows returned are not re-checked, as covering every witness
@@ -600,7 +580,8 @@ def mindeg(hc: HereditaryCollection,
 
     found: list[tuple[int, ...]] = []
     nodes = 0
-    orbit_of: list[int] = []  # per cand, the bits of its orbit, once a root row fails
+    orbit_of: dict[int, int] = {}  # failed root row's cand index -> its orbit's bits
+    points: list[list[int]] = []  # per generator g, the point bit x to g[x]
 
     def rec(chosen: int, banned: int, cov: int) -> bool:
         """Extend chosen (a set of cand indices, none banned) to k rows; cov
@@ -634,10 +615,10 @@ def mindeg(hc: HereditaryCollection,
             if chosen or hit:
                 banned |= 1 << i
                 continue
-            if not orbit_of:  # the first failed root row: no generators past the cap
-                gens = (hc._automorphism_generators
-                        if len(hc.ground) <= AUTOMORPHISM_GROUND_CAP else ())
-                orbit_of.extend(_orbit_masks(gens, cands))
+            if i not in orbit_of:
+                if not orbit_of and len(hc.ground) <= AUTOMORPHISM_GROUND_CAP:
+                    points.extend([1 << x for x in g] for g in hc._automorphism_generators)
+                orbit_of[i] = sum(1 << index[z] for z in next(_orbits([cands[i]], points)))
             banned |= orbit_of[i]
         return hit
 

@@ -1,11 +1,14 @@
 """Command-line behaviors: formats, pipelines, exit codes, reproduce targets."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -173,7 +176,24 @@ class TestAutomorphismSearch:
         assert len(searches) == 1
 
 
+class TestReadmeVerbs:
+    def test_readme_lists_every_verb(self):
+        # the backticked list after "Verbs:" names the parser's subcommands
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = re.findall(r"`([^`]+)`", re.search(r"^Verbs:(.*?)\n\n", readme,
+                                                     re.M | re.S).group(1))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert listed == list(sub.choices)
+
+
 class TestGeoMpeg:
+    CUBE = ("elements: o a b c ab ac bc T\n" +
+            "".join(f"covers: {x} < {y}\n" for x, y in
+                    [("o", "a"), ("o", "b"), ("o", "c"), ("a", "ab"),
+                     ("a", "ac"), ("b", "ab"), ("b", "bc"), ("c", "ac"),
+                     ("c", "bc"), ("ab", "T"), ("ac", "T"), ("bc", "T")]))
+
     def test_geo_round_trip(self, tmp_path, capsys, monkeypatch):
         peg = json.dumps({"points": ["1", "2", "3", "4"],
                           "lines": [["1", "2"], ["3", "4"]]})
@@ -192,19 +212,31 @@ class TestGeoMpeg:
                 "covers: b < ab\ncovers: ab < T\n")
         # height 3 and atomic fails here (T needs to be a join of atoms), so
         # use the cube instead
-        cube = ("elements: o a b c ab ac bc T\n" +
-                "\n".join(f"covers: {x} < {y}" for x, y in
-                          [("o", "a"), ("o", "b"), ("o", "c"), ("a", "ab"),
-                           ("a", "ac"), ("b", "ab"), ("b", "bc"), ("c", "ac"),
-                           ("c", "bc"), ("ab", "T"), ("ac", "T"), ("bc", "T")])
-                + "\n")
-        code, out = run_main(capsys, ["mpeg"], stdin_text=cube,
+        code, out = run_main(capsys, ["mpeg"], stdin_text=self.CUBE,
                              monkeypatch=monkeypatch)
         assert code == 0
         data = json.loads(out)
         assert len(data["strata"]) == 3
         assert sorted(map(sorted, data["strata"][1])) == \
             [["a", "b"], ["a", "c"], ["b", "c"]]
+
+    @pytest.mark.parametrize("header", ["elements: zz yy", "gens: zz"])
+    def test_repeated_header_line_exits_1(self, tmp_path, capsys, header):
+        # a leading header line must not be replaced by the cube's own
+        cube = tmp_path / "cube.txt"
+        cube.write_text(f"{header}\n{self.CUBE}gens: a b c\n")
+        code, out = run_main(capsys, ["geo", str(cube)])
+        assert code == 1
+        assert json.loads(out)["error"] == "FormatError"
+
+    def test_mpeg_duplicate_ground_exits_1(self, capsys, monkeypatch):
+        text = json.dumps({"ground": ["1", "2", "3", "1"],
+                           "strata": [[["1"], ["2"], ["3"]], [["1", "2"], ["2", "3"]],
+                                      [["1", "2", "3"]]]})
+        code, out = run_main(capsys, ["mpeg", "--to-lattice"], stdin_text=text,
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out)["error"] == "FormatError"
 
 
 class TestMapsFactorize:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolrep.errors import NotAtomic, TooFewLines, TooLarge, WrongHeight, WrongSize
+from boolrep.errors import FormatError, NotAtomic, TooFewLines, TooLarge, WrongHeight, WrongSize
 from boolrep.geometry import (
     MPeg,
     PEG,
@@ -15,6 +15,7 @@ from boolrep.geometry import (
     lat_of_peg,
     lattice_of_mpeg,
     mat_of_lattice,
+    mpeg_from_json,
     mpeg_of_atomic_lattice,
     peg_dot,
     peg_from_json,
@@ -239,6 +240,12 @@ class TestMpeg:
         assert len(lattice_of_mpeg(mpeg(60)).lattice) == 64
         with pytest.raises(TooLarge):
             lattice_of_mpeg(mpeg(61))
+
+    def test_json_refuses_duplicate_ground(self):
+        text = ('{"ground": ["1", "2", "3", "1"], "strata": '
+                '[[["1"], ["2"], ["3"]], [["1", "2"], ["2", "3"]], [["1", "2", "3"]]]}')
+        with pytest.raises(FormatError, match="duplicate ground labels"):
+            mpeg_from_json(text)
 
     def test_not_atomic_rejected(self):
         lat = lattice_from_covers(

@@ -523,6 +523,13 @@ class TestTextAndDot:
         assert back.gens == vg.gens
         assert back.lattice.cover_pairs() == l.cover_pairs()
 
+    @pytest.mark.parametrize("header", ["elements: zz yy", "gens: zz"])
+    def test_repeated_header_line_refused(self, header):
+        # a second elements: or gens: line must not replace the first
+        text = lattice_to_text(VGenLattice(diamond(), ("a", "b")))
+        with pytest.raises(FormatError, match="repeated"):
+            lattice_from_text(f"{header}\n{text}")
+
     def test_dot_marks_generators(self):
         vg = VGenLattice(diamond(), ("a", "b"))
         dot = hasse_dot(vg)

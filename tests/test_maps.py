@@ -359,10 +359,10 @@ class TestRees:
         pairs = [(names[a], names[b]) for a in fams for b in fams
                  if a != b and a < b]
         big = lattice_from_covers(list(names.values()), pairs)
-        ideal = [names[f] for f in fams if f not in walk.members]
+        ideal = [names[f] for f in fams if f not in walk]
         q = rees_quotient(big, ideal)
         # the quotient has one element per representing family plus a bottom
-        assert len(q) == len(walk.members) + 1
+        assert len(q) == len(walk) + 1
         # covers above the new bottom are exactly the minimal representations
         atoms = q.atoms()
         minimal = {names[f] for f in walk.minimal_families()}

@@ -198,7 +198,7 @@ class TestWalk:
         walk = RepresentationLattice(BIGEX)
         brute = {frozenset(BIGEX.mask_of(m) for m in f.members)
                  for f in enumerate_fisfl(BIGEX) if _brute_represents(BIGEX, f)}
-        assert walk.members == brute
+        assert walk == brute
 
     def test_up_set_property(self):
         walk = RepresentationLattice(BIGEX)
@@ -327,7 +327,7 @@ class TestRecords:
 
     def test_order_and_top(self):
         walk = RepresentationLattice(BIGEX)
-        top = walk.record(frozenset(walk.top))
+        top = walk.record(frozenset(walk.flats))
         for f in walk.sorted_families():
             assert order_le(walk.record(f), top)
 
@@ -362,7 +362,7 @@ class TestMinimalStructure:
         fam2, _ = flats_of_matrix(m)
         masks = frozenset(BIGEX.mask_of(s) for s in fam2.members)
         walk = RepresentationLattice(BIGEX)
-        assert masks in walk.members
+        assert masks in walk
         assert masks not in set(walk.minimal_families())
         assert masks in set(walk.sji_families())
         assert fam2.members == {fs(), fs("1"), fs("2"), fs("1", "4"),
@@ -466,7 +466,7 @@ class TestAutomorphisms:
 
     def test_symmetric_family_single_orbit(self):
         walk = RepresentationLattice(BIGEX)
-        top = walk.record(frozenset(walk.top))
+        top = walk.record(frozenset(walk.flats))
         assert count_up_to_e_bijection([top]) == 1
 
 
@@ -685,7 +685,7 @@ class TestClassificationOracle:
             if len(covers) <= 1:
                 sji.add(f)
         walk = RepresentationLattice(hc)
-        assert set(walk.members) == set(rep)
+        assert set(walk) == set(rep)
         assert walk.minimal_families() == sorted(minimal, key=sorted)
         assert walk.sji_families() == sorted(sji, key=sorted)
 
@@ -705,14 +705,14 @@ class TestChildTestOracle:
         hc = walk.hc
         full = hc.full_mask
         outcomes = set()
-        for fam in walk.members:
+        for fam in walk:
             for z in reps._smi_masks(sorted(fam), full):
                 if z == 0:
                     continue
                 child = fam - {z}
                 ok = hereditary._chain_admissible(
                     hc._h_sorted, lattice.closure_op(sorted(child), full)) is None
-                assert (child in walk.members) == ok
+                assert (child in walk) == ok
                 outcomes.add(ok)
         assert outcomes == {True, False}
 
@@ -741,7 +741,7 @@ class TestWalkCountOracle:
         for key, n in walk.nchildren.items():
             fam = walk._family(key)
             children = [fam - {z} for z in reps._smi_masks(sorted(fam), full) if z]
-            members = [c in walk.members for c in children]
+            members = [c in walk for c in children]
             assert members == [covers(c) for c in children]
             assert n == sum(members)
 
@@ -888,7 +888,7 @@ class TestMaskKernelOracles:
     @pytest.mark.parametrize("hc", [BIGEX, fano(), uniform(3, 5)],
                              ids=["bigex", "fano", "u35"])
     def test_smi_meet_test_matches_cover_count(self, hc):
-        for fam in RepresentationLattice(hc).members:
+        for fam in RepresentationLattice(hc):
             ms = sorted(fam)
             assert reps._smi_masks(ms, hc.full_mask) == _smi_by_covers(ms, hc.full_mask)
 
@@ -1049,39 +1049,56 @@ class TestGainBound:
 
 
 class TestRootOrbits:
-    """The orbits that the mindeg root bans: the candidate partition
-    (`reps._orbit_masks`) against the images under every automorphism (the
-    closure `hc._automorphisms`), and no group past the cap."""
+    """The orbits that the mindeg root bans: `_orbits` over the generators'
+    point tables against the images under every automorphism (the closure
+    `hc._automorphisms`), no group past the cap, and each orbit expanded
+    at most once per call."""
+
+    @staticmethod
+    def recorded_orbits(monkeypatch):
+        """The orbits mindeg expands, one per `reps._orbits` call."""
+        orbits, calls = reps._orbits, []
+
+        def counted(keys, images):
+            calls.append(next(orbits(keys, images)))
+            return iter(calls[-1:])
+
+        monkeypatch.setattr(reps, "_orbits", counted)
+        return calls
 
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_orbits_match_group(self, name):
         hc = SYMMETRIC[name]
         group = hc._automorphisms
-        cands = [z for z in hc._flat_masks if z != hc.full_mask]
-        orbit_of = reps._orbit_masks(hc._automorphism_generators, cands)
-        for z, bits in zip(cands, orbit_of):
-            assert {cands[i] for i in lattice._bits(bits)} == \
-                {hereditary.permuted(z, p) for p in group}
+        points = [[1 << x for x in g] for g in hc._automorphism_generators]
+        for z in hc._flat_masks:
+            if z != hc.full_mask:
+                assert next(hereditary._orbits([z], points)) == \
+                    {hereditary.permuted(z, p) for p in group}
 
     def test_no_group_past_the_cap(self, monkeypatch):
         # U(2,9) fails first rows at k = 2..7 and needs 8 rows; past the cap
-        # the one partition of the call has every candidate alone
+        # every failed root row is banned alone
         hc = uniform(2, reps.AUTOMORPHISM_GROUND_CAP + 1)
-        partitions = []
-        orbit_masks = reps._orbit_masks
 
         def refuse(*args):
             raise RuntimeError("a generator search past the cap")
 
-        def recorded(gens, cands):
-            partitions.append((cands, orbit_masks(gens, cands)))
-            return partitions[-1][1]
-
         monkeypatch.setattr(hereditary, "_strong_generators", refuse)
-        monkeypatch.setattr(reps, "_orbit_masks", recorded)
+        calls = self.recorded_orbits(monkeypatch)
         assert mindeg(hc)[0] == 8
-        [(cands, orbit_of)] = partitions
-        assert orbit_of == [1 << i for i in range(len(cands))]
+        assert calls and all(len(orbit) == 1 for orbit in calls)
+        assert len(set().union(*calls)) == len(calls)
+
+    @pytest.mark.parametrize("name, expansions", [
+        ("u36", 1), ("u37", 1), ("u38", 1), ("fano", 1), ("bigex", 0)])
+    def test_each_orbit_expanded_once(self, monkeypatch, name, expansions):
+        # U(3,7) fails a root line at every k from 3 to 8, in one orbit
+        calls = self.recorded_orbits(monkeypatch)
+        for enumerate_all in (False, True):
+            calls.clear()
+            mindeg(SYMMETRIC[name], enumerate_all=enumerate_all)
+            assert len(calls) == expansions
 
 
 class TestTuranRows:
@@ -1113,6 +1130,40 @@ class TestTuranRows:
         hc = uniform(3, 5)
         assert not _leaf_ok(hc, self.turan_rows(5))
         assert mindeg(hc)[0] == 5 == (5 - 1) ** 2 // 4 + 1
+
+
+class TestRelabelling:
+    """Answers that must not depend on the ground order or the facet order
+    (a seeded slice of the metamorphic checks): the root bans, the
+    generator search's base, the flat numbering and the key order all
+    follow the order of the points."""
+
+    @staticmethod
+    def answers(hc):
+        k, witnesses = mindeg(hc, enumerate_all=True)
+        rows = {frozenset(frozenset(w.col_labels[j] for j in range(w.n_cols) if not r >> j & 1)
+                          for r in w.ones_masks) for w in witnesses}
+        try:
+            walk = RepresentationLattice(hc)
+        except TooLarge:  # over the flat cap, which counts flats only
+            return k, rows, len(hc._flat_masks), None
+        minimal = sum(n == 0 for n in walk.nchildren.values())
+        sji = sum(n <= 1 for n in walk.nchildren.values())
+        images = hereditary._image_tables(hc._automorphism_generators, walk.flats)[1]
+        sji_keys = (key for key, n in walk.nchildren.items() if n <= 1)
+        assert sum(map(len, hereditary._orbits(sji_keys, images))) == sji
+        return k, rows, len(walk.flats), (len(walk), minimal, sji, walk.orbit_counts())
+
+    def test_ground_and_facet_order(self):
+        rng = random.Random(26)
+        hcs = [fano(), BIGEX, uniform(3, 6), *_representable_sweep_hcs(20)]
+        for hc in hcs:
+            ground = rng.sample(hc.ground, len(hc.ground))
+            facets = [rng.sample(sorted(f), len(f)) for f in hc.facets]
+            rng.shuffle(facets)
+            relabelled = HereditaryCollection.from_facets(ground, facets)
+            assert relabelled.independents == hc.independents
+            assert self.answers(relabelled) == self.answers(hc)
 
 
 @pytest.mark.slow
