@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Optional
 
 from . import geometry, hereditary, lattice, maps, reps, sbcore
 from .errors import BoolrepError, FormatError, TooLarge
@@ -30,7 +29,7 @@ def _max_ground() -> int:
         return DEFAULT_MAX_GROUND
 
 
-def _read_input(path: Optional[str]) -> str:
+def _read_input(path: str | None) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
     try:
@@ -40,7 +39,7 @@ def _read_input(path: Optional[str]) -> str:
         raise FormatError(f"cannot read {path}: {e}") from None
 
 
-def _load_hc(path: Optional[str]) -> hereditary.HereditaryCollection:
+def _load_hc(path: str | None) -> hereditary.HereditaryCollection:
     """The input collection; BOOLREP_MAX_GROUND is enforced before it is built."""
     return hereditary.hc_from_json(_read_input(path), max_ground=_max_ground())
 
@@ -58,7 +57,7 @@ def _emit(args, payload: dict, table_lines=None) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _maybe_dot(args, dot_text: Optional[str]) -> None:
+def _maybe_dot(args, dot_text: str | None) -> None:
     if getattr(args, "dot", None) and dot_text is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -558,7 +557,7 @@ def _run(args) -> int:
         return 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import record
 from .errors import (
     BadMpeg,
     FormatError,
@@ -27,7 +27,7 @@ from .lattice import FiniteLattice, FlatFamily, VGenLattice, c_independent, \
     check_lattice_cap, flat_label, generated_lattice, labels_to_mask
 
 
-@dataclass(frozen=True)
+@record
 class PEG:
     """Points plus lines: lines have >= 2 points and pairwise meet in <= 1."""
 
@@ -38,7 +38,7 @@ class PEG:
         return frozenset(l for l in self.lines if p in l)
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     violations: tuple[tuple[str, tuple], ...]  # (axiom tag, witness)
@@ -62,7 +62,7 @@ def validate_peg(g: PEG) -> ValidationReport:
     return ValidationReport(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
+@record
 class MPeg:
     """A graded geometry: disjoint strata of subsets, the last being {E}."""
 
@@ -289,6 +289,8 @@ def peg_from_json(text: str) -> PEG:
     if not isinstance(data, dict) or "points" not in data or "lines" not in data:
         raise FormatError("expected an object with 'points' and 'lines'")
     points = tuple(_json_labels(data["points"], "'points'"))
+    if len(set(points)) != len(points):
+        raise FormatError("duplicate point labels")
     lines = frozenset(frozenset(l) for l in _json_label_sets(data["lines"], "'lines'"))
     return PEG(points, lines)
 

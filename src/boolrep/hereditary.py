@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ._record import record
 from .errors import (
     EmptyFamily,
     FormatError,
@@ -132,7 +132,7 @@ def _strong_generators(n: int, hm: frozenset[int]) -> tuple[tuple[int, ...], ...
     gens: list[tuple[int, ...]] = []
     points: list[list[int]] = []  # per generator g, the point bit x to g[x]
 
-    def extend(p: list[int], t: int, used: int, cands) -> Optional[tuple[int, ...]]:
+    def extend(p: list[int], t: int, used: int, cands) -> tuple[int, ...] | None:
         top = 1 << t
         for q in cands:
             b = 1 << q
@@ -188,7 +188,7 @@ def _label_masks(sets: Iterable[Iterable[str]], ground: tuple[str, ...], what: s
     return (_label_mask(s, gidx, what) for s in sets)
 
 
-@dataclass(frozen=True, init=False)
+@record
 class HereditaryCollection:
     """Ground set plus the downward-closed family H of independent sets.
 
@@ -354,7 +354,7 @@ class HereditaryCollection:
         return closure_op(self._flat_masks, self.full_mask)
 
     @cached_property
-    def _chain_failure(self) -> Optional[int]:
+    def _chain_failure(self) -> int | None:
         """An independent set without strictly decreasing flat closures, or None."""
         return _chain_admissible(self._h_sorted, self._closure)
 
@@ -464,7 +464,7 @@ class HereditaryCollection:
 # -- rank functions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RankFunction:
     """The full rank table of a hereditary collection, indexed by mask
     (bit i is ground[i])."""
@@ -519,16 +519,22 @@ def _hyperplane_masks(hc: HereditaryCollection) -> list[int]:
 # -- boolean representability --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RepresentabilityResult:
     holds: bool
-    counterexample: Optional[frozenset[str]]  # an independent set with no ordering
+    counterexample: frozenset[str] | None  # an independent set with no ordering
+
+    # written out, not the record's generic one: `represents` builds one per
+    # call, over 10^5 times per enumeration of U(3,6)
+    def __init__(self, holds: bool, counterexample: frozenset[str] | None) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-def _chain_admissible(h_masks_sorted: Sequence[int], cl) -> Optional[int]:
+def _chain_admissible(h_masks_sorted: Sequence[int], cl) -> int | None:
     """DP over independent sets: does each admit strictly decreasing closures?
 
     `cl` maps a subset mask to its closure mask.  Returns a failing mask or
@@ -650,7 +656,7 @@ def _json_label_sets(value, what: str) -> list[list[str]]:
     return [_json_labels(v, f"each member of {what}") for v in value]
 
 
-def hc_from_json(text: str, max_ground: Optional[int] = None) -> HereditaryCollection:
+def hc_from_json(text: str, max_ground: int | None = None) -> HereditaryCollection:
     """Parse a collection; with max_ground, refuse a larger ground before
     any facet is expanded into its subsets."""
     try:

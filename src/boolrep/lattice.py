@@ -11,10 +11,10 @@ are mutually inverse up to congruence (independent row/column permutation).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import (
     BottomElement,
     CycleError,
@@ -252,7 +252,7 @@ def lattice_from_covers(elements, cover_pairs):
     return FiniteLattice.from_covers(elements, cover_pairs)
 
 
-@dataclass(frozen=True)
+@record
 class VGenLattice:
     """A finite lattice together with a join-generating set E (bottom excluded)."""
 
@@ -304,7 +304,7 @@ def mask_order(mask: int) -> tuple[int, list[int]]:
     return mask.bit_count(), list(_bits(mask))
 
 
-@dataclass(frozen=True, init=False)
+@record
 class FlatFamily:
     """An intersection-closed family of subsets of a ground set, containing E.
 
@@ -472,7 +472,7 @@ def lattice_from_matrix(m: BoolMatrix) -> VGenLattice:
 # -- c-independence --------------------------------------------------------------
 
 
-def c_independence_chain(vg: VGenLattice, xs: Iterable[str]) -> Optional[list[str]]:
+def c_independence_chain(vg: VGenLattice, xs: Iterable[str]) -> list[str] | None:
     """An enumeration of xs with strictly decreasing suffix joins, or None.
 
     Peels greedily the first x1, in lattice order, whose removal strictly
@@ -603,9 +603,9 @@ def lattice_to_text(obj) -> str:
 
 def lattice_from_text(text: str):
     """Parse the text format; returns VGenLattice when a gens line is present."""
-    elements: Optional[list[str]] = None
+    elements: list[str] | None = None
     pairs: list[tuple[str, str]] = []
-    gens: Optional[list[str]] = None
+    gens: list[str] | None = None
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):

@@ -12,10 +12,10 @@ subfamilies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
 
+from ._record import record
 from .errors import (
     FormatError,
     JoinViolation,
@@ -36,15 +36,15 @@ from .lattice import FiniteLattice, FlatFamily, VGenLattice
 # -- join-preserving maps -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VMap:
     """A total map between lattice element sets, with optional generator data."""
 
     source: FiniteLattice
     target: FiniteLattice
     mapping: Mapping[str, str]
-    source_gens: Optional[tuple[str, ...]] = None
-    target_gens: Optional[tuple[str, ...]] = None
+    source_gens: tuple[str, ...] | None = None
+    target_gens: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         for x in self.source.labels:
@@ -105,14 +105,14 @@ def compose(phi: VMap, psi: VMap) -> VMap:
     )
 
 
-def identity_map(l: FiniteLattice, gens: Optional[tuple[str, ...]] = None) -> VMap:
+def identity_map(l: FiniteLattice, gens: tuple[str, ...] | None = None) -> VMap:
     return VMap(l, l, {x: x for x in l.labels}, gens, gens)
 
 
 # -- congruences and closure operators -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VCongruence:
     """A partition of a lattice compatible with joins."""
 
@@ -170,7 +170,7 @@ def _blocks_by(labels: Iterable[str], key) -> tuple[frozenset[str], ...]:
     return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
 
 
-@dataclass(frozen=True)
+@record
 class ClosureOp:
     """An extensive, monotone, idempotent self-map of a lattice."""
 
@@ -234,7 +234,7 @@ def congruence_from_family(vg: VGenLattice, family: Iterable[frozenset[str]]
 
 
 def quotient_lattice(lat: FiniteLattice, rho: VCongruence,
-                     gens: Optional[Sequence[str]] = None
+                     gens: Sequence[str] | None = None
                      ) -> tuple[FiniteLattice, VMap]:
     """Quotient by a join congruence, with the canonical projection.
 
@@ -299,7 +299,7 @@ def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLa
 # -- MPS / MPI factorization ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MpsStep:
     """One surjective step: collapse the cover pair (upper, lower), lower smi."""
 
@@ -308,7 +308,7 @@ class MpsStep:
     map: VMap
 
 
-@dataclass(frozen=True)
+@record
 class MpiStep:
     """One injective step: include into the lattice that adds one sji element."""
 
@@ -422,7 +422,7 @@ def csi_factorize(phi: VMap) -> tuple[list[MpsStep], list[MpiStep]]:
     return mps_factorize(onto), mpi_factorize(inc)
 
 
-def compose_steps(phi_steps: Sequence) -> Optional[VMap]:
+def compose_steps(phi_steps: Sequence) -> VMap | None:
     """Compose the maps of a step list; None for an empty list."""
     maps = [s.map for s in phi_steps]
     if not maps:

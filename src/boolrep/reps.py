@@ -12,11 +12,10 @@ most one.
 
 from __future__ import annotations
 
-from collections.abc import Set
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence, Set
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
 
+from ._record import record
 from .errors import (
     FormatError,
     GroundMismatch,
@@ -118,7 +117,7 @@ def smi_members(hc: HereditaryCollection, fam: FlatFamily) -> frozenset[frozense
 # -- records ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RepRecord:
     """One representation: its flat family plus derived lattice and matrices."""
 
@@ -262,7 +261,7 @@ class RepresentationLattice(Set):
     def _family(self, key: int) -> frozenset[int]:
         return frozenset(self._members(key))
 
-    def _key(self, fam) -> Optional[int]:
+    def _key(self, fam) -> int | None:
         """The key of a FlatFamily or a set of point masks; None if some
         member is not a flat."""
         masks = _masks_over(self.hc, fam) if isinstance(fam, FlatFamily) else frozenset(fam)
@@ -285,7 +284,7 @@ class RepresentationLattice(Set):
     def __contains__(self, fam) -> bool:
         return self._key(fam) in self.nchildren
 
-    def sorted_keys(self, most: Optional[int] = None) -> list[int]:
+    def sorted_keys(self, most: int | None = None) -> list[int]:
         """The keys of the members with at most `most` children (all when
         None), in the lexicographic order of their sorted member masks."""
         keys = (self.nchildren if most is None
@@ -324,7 +323,7 @@ class RepresentationLattice(Set):
 
 def minimal_representations(hc: HereditaryCollection,
                             max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
-                            walk: Optional[RepresentationLattice] = None
+                            walk: RepresentationLattice | None = None
                             ) -> list[RepRecord]:
     walk = walk or RepresentationLattice(hc, max_nontrivial=max_nontrivial)
     return [walk.record(f) for f in walk.minimal_families()]
@@ -332,7 +331,7 @@ def minimal_representations(hc: HereditaryCollection,
 
 def sji_representations(hc: HereditaryCollection,
                         max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
-                        walk: Optional[RepresentationLattice] = None
+                        walk: RepresentationLattice | None = None
                         ) -> list[RepRecord]:
     walk = walk or RepresentationLattice(hc, max_nontrivial=max_nontrivial)
     return [walk.record(f) for f in walk.sji_families()]

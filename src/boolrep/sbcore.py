@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import DimensionError, FormatError, SizeError, TooLarge, UnknownColumn
 
 PERMANENT_GUARD = 12
@@ -65,7 +65,7 @@ def _check_labels(n_rows: int, col_labels: Sequence[str], row_labels: Sequence[s
         raise FormatError("row label count does not match row count")
 
 
-@dataclass(frozen=True, init=False)
+@record
 class BoolMatrix:
     """An immutable 0/1 matrix with labelled rows and ground-set columns.
 
@@ -113,8 +113,8 @@ class BoolMatrix:
     def build(
         cls,
         rows: Sequence[Sequence[int]],
-        col_labels: Optional[Sequence[str]] = None,
-        row_labels: Optional[Sequence[str]] = None,
+        col_labels: Sequence[str] | None = None,
+        row_labels: Sequence[str] | None = None,
     ) -> "BoolMatrix":
         rows_t = tuple(tuple(int(v) for v in r) for r in rows)
         ncols = len(rows_t[0]) if rows_t else (len(col_labels) if col_labels else 0)
@@ -183,7 +183,7 @@ class BoolMatrix:
         return self.to_text()
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """A certificate that a column subset is independent.
 
@@ -238,7 +238,7 @@ def permanent(m: BoolMatrix) -> SB:
 # -- marker peeling -------------------------------------------------------------
 
 
-def _peel(masks: Sequence[int], cols: int, order: Optional[list] = None) -> bool:
+def _peel(masks: Sequence[int], cols: int, order: list | None = None) -> bool:
     """Greedy marker peel: is the column mask `cols` independent over these rows?
 
     Repeatedly take the first row whose AND with the remaining columns is a
@@ -271,7 +271,7 @@ def _col_mask(m: BoolMatrix, cols: Iterable[str]) -> int:
     return target
 
 
-def triangular_certificate(m: BoolMatrix) -> Optional[Witness]:
+def triangular_certificate(m: BoolMatrix) -> Witness | None:
     """Marker-peel a square matrix into triangular form.
 
     Peeling preserves the permanent, so it succeeds iff the matrix is
@@ -290,7 +290,7 @@ def is_nonsingular(m: BoolMatrix) -> bool:
 # -- column independence --------------------------------------------------------
 
 
-def witness_for(m: BoolMatrix, cols: Iterable[str]) -> Optional[Witness]:
+def witness_for(m: BoolMatrix, cols: Iterable[str]) -> Witness | None:
     """The greedy peel's witness for the given column labels, or None.
 
     The peel is complete.  If J is independent and row r has a single 1 on J,
@@ -303,7 +303,7 @@ def witness_for(m: BoolMatrix, cols: Iterable[str]) -> Optional[Witness]:
     return witness_for_mask(m, _col_mask(m, cols))
 
 
-def witness_for_mask(m: BoolMatrix, target: int) -> Optional[Witness]:
+def witness_for_mask(m: BoolMatrix, target: int) -> Witness | None:
     """witness_for the columns j whose bits are set in target."""
     masks = m.ones_masks
     order: list[tuple[int, int]] = []

@@ -14,7 +14,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import boolrep
 from boolrep import errors, hereditary, lattice, reps, sbcore
@@ -228,6 +228,14 @@ class TestGeoMpeg:
         code, out = run_main(capsys, ["geo", str(cube)])
         assert code == 1
         assert json.loads(out)["error"] == "FormatError"
+
+    def test_geo_duplicate_points_exits_1(self, capsys, monkeypatch):
+        # the repeated label is refused before the lattice build counts lines
+        text = json.dumps({"points": ["1", "1"], "lines": []})
+        code, out = run_main(capsys, ["geo", "--to-lattice"], stdin_text=text,
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {"error": "FormatError", "detail": "duplicate point labels"}
 
     def test_mpeg_duplicate_ground_exits_1(self, capsys, monkeypatch):
         text = json.dumps({"ground": ["1", "2", "3", "1"],
@@ -824,11 +832,11 @@ def geo_json_case(draw):
 
 @st.composite
 def map_case(draw):
-    """(source, target, map text, fault) for `maps-factorize`: the identity,
-    the map sending all but the bottom to the top, or a random assignment,
-    with at most one fault in one of the texts.  The map faults: a line for
-    an element outside the source, a repeated line, a malformed line, or a
-    missing line."""
+    """(source, target, map text, map fault, lattice fault) for
+    `maps-factorize`: the identity, the map sending all but the bottom to the
+    top, or a random assignment; each text carries at most one fault.
+    The map faults: a line for an element outside the source, a repeated
+    line, a malformed line, or a missing line."""
     src, vg, src_fault = draw(lattice_case())
     lat = vg.lattice
     kind = draw(st.sampled_from(["identity", "collapse", "random"]))
@@ -849,7 +857,10 @@ def map_case(draw):
         lines.append(draw(st.sampled_from([f"map: {lat.top} {lat.top}", "map:", "to: a -> b"])))
     elif fault == "missing":
         del lines[draw(st.integers(0, len(lines) - 1))]
-    return src, tgt, "\n".join(lines) + "\n", fault, src_fault or tgt_fault
+    # the lattice fault the CLI meets first: it parses the source, then the
+    # target, and a missing gens: line is no fault in either
+    first = next((f for f in (src_fault, tgt_fault) if f not in ("", "nogens")), "")
+    return src, tgt, "\n".join(lines) + "\n", fault, first
 
 
 def assert_contract(argv, stdin_text=""):
@@ -910,10 +921,14 @@ class TestLatticeContractFuzz:
         if fault == "big":
             assert error == "TooLarge"
         elif fault == "dup":
-            assert code == 1
+            assert error == "FormatError"
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=map_case())
+    # a source without gens: parses, so the target's cover cycle comes first
+    @example(case=("elements: {} {1}\ncovers: {} < {1}\n",
+                   "elements: {} {1}\ncovers: {} < {1}\ngens: {1}\ncovers: {1} < {}\n",
+                   "map: {} -> {}\nmap: {1} -> {}\nmap: nosuch -> {1}\n", "outside", "cycle"))
     def test_maps_factorize(self, case, tmp_path_factory):
         src, tgt, text, fault, lattice_fault = case
         paths = []

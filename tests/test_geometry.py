@@ -315,6 +315,11 @@ class TestJsonDot:
         back = peg_from_json(peg_to_json(g))
         assert back == g
 
+    def test_json_refuses_duplicate_points(self):
+        # refused as such, not as the lattice build's TooFewLines
+        with pytest.raises(FormatError, match="duplicate point labels"):
+            peg_from_json('{"points": ["1", "1"], "lines": []}')
+
     def test_dot_levi_structure(self):
         g = fano_peg()
         dot = peg_dot(g)
