@@ -312,7 +312,7 @@ def _check(checks: list, name: str, expected, actual) -> None:
                    "ok": expected == actual})
 
 
-def _reproduce_bigex(args, checks: list) -> None:
+def _reproduce_bigex(checks: list) -> None:
     hc = hereditary.example_bigex()
     expected_flats = [frozenset(), *(frozenset((str(i),)) for i in range(1, 5)),
                       frozenset("14"), frozenset("24"), frozenset("34"),
@@ -325,7 +325,7 @@ def _reproduce_bigex(args, checks: list) -> None:
     _check(checks, "mindeg", 3, reps.mindeg(hc)[0])
 
 
-def _reproduce_libourne(args, checks: list) -> None:
+def _reproduce_libourne(checks: list) -> None:
     hc = hereditary.example_bigex()
     m = hereditary.example_libourne_matrix()
     _check(checks, "independent {1,2,4}", True,
@@ -343,7 +343,7 @@ def _reproduce_libourne(args, checks: list) -> None:
            sorted(map(sorted, closed)))
 
 
-def _reproduce_fano(args, checks: list) -> None:
+def _reproduce_fano(checks: list) -> None:
     hc = hereditary.fano()
     minimal, sji = _raw_counts(reps.RepresentationLattice(hc))
     _check(checks, "minimal", 7, minimal)
@@ -351,7 +351,7 @@ def _reproduce_fano(args, checks: list) -> None:
     _check(checks, "mindeg", 4, reps.mindeg(hc)[0])
 
 
-def _reproduce_u36(args, checks: list) -> None:
+def _reproduce_u36(checks: list) -> None:
     hc = hereditary.uniform(3, 6)
     walk = reps.RepresentationLattice(hc)
     minimal, sji = _raw_counts(walk)
@@ -380,7 +380,7 @@ def _reproduce_u36(args, checks: list) -> None:
     _check(checks, "girth criterion agreement", True, agree)
 
 
-def _reproduce_unio(args, checks: list) -> None:
+def _reproduce_unio(checks: list) -> None:
     j1, j2 = hereditary.example_unio()
     u = hereditary.union_hc(j1, j2)
     _check(checks, "first representable", True, hereditary.is_boolean_representable(j1))
@@ -389,7 +389,7 @@ def _reproduce_unio(args, checks: list) -> None:
     _check(checks, "union paving", True, hereditary.is_paving(u))
 
 
-def _reproduce_truno(args, checks: list) -> None:
+def _reproduce_truno(checks: list) -> None:
     hc = hereditary.example_truno()
     u = hereditary.union_hc(*hereditary.example_unio())
     t3 = hereditary.truncation(hc, 3)
@@ -400,7 +400,7 @@ def _reproduce_truno(args, checks: list) -> None:
            t3.h_masks == u.h_masks)
 
 
-def _reproduce_fourpoints(args, checks: list) -> None:
+def _reproduce_fourpoints(checks: list) -> None:
     ground = tuple(str(i) for i in range(1, 5))
     triples = [m for m in range(16) if m.bit_count() == 3]
     base = [m for m in range(16) if m.bit_count() < 3]
@@ -429,7 +429,7 @@ def _reproduce_fourpoints(args, checks: list) -> None:
     _check(checks, "trichotomy", True, ok)
 
 
-def _reproduce_section3(args, checks: list) -> None:
+def _reproduce_section3(checks: list) -> None:
     m = hereditary.section3_matrix()
     fam, y = lattice.flats_of_matrix(m)
     expected = [[], ["2"], ["3"], ["4"], ["2", "3"], ["2", "4"],
@@ -463,7 +463,7 @@ REPRODUCERS = {
 
 def cmd_reproduce(args) -> int:
     checks: list[dict] = []
-    REPRODUCERS[args.target](args, checks)
+    REPRODUCERS[args.target](checks)
     passed = all(c["ok"] for c in checks)
     payload = {"target": args.target,
                "pass": passed,

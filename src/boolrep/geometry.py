@@ -22,7 +22,7 @@ from .errors import (
     WrongHeight,
     WrongSize,
 )
-from .hereditary import HereditaryCollection, _json_label_sets, _json_labels
+from .hereditary import HereditaryCollection, _json_label_sets, _json_labels, _json_load
 from .lattice import FiniteLattice, FlatFamily, VGenLattice, c_independent, \
     check_lattice_cap, flat_label, generated_lattice, labels_to_mask
 
@@ -33,9 +33,6 @@ class PEG:
 
     points: tuple[str, ...]
     lines: frozenset[frozenset[str]]
-
-    def lines_through(self, p: str) -> frozenset[frozenset[str]]:
-        return frozenset(l for l in self.lines if p in l)
 
 
 @record
@@ -51,12 +48,13 @@ def validate_peg(g: PEG) -> ValidationReport:
     """Axiom-by-axiom check; every violation carries a concrete witness."""
     bad: list[tuple[str, tuple]] = []
     pts = set(g.points)
-    for l in g.lines:
+    lines = sorted(g.lines, key=sorted)  # the same violation first on every run
+    for l in lines:
         if not l <= pts:
             bad.append(("points", tuple(sorted(l - pts))))
         if len(l) < 2:
             bad.append(("G2", tuple(sorted(l))))
-    for l1, l2 in itertools.combinations(g.lines, 2):
+    for l1, l2 in itertools.combinations(lines, 2):
         if len(l1 & l2) > 1:
             bad.append(("G1", (tuple(sorted(l1)), tuple(sorted(l2)))))
     return ValidationReport(not bad, tuple(bad))
@@ -72,7 +70,9 @@ class MPeg:
 
 def validate_mpeg(g: MPeg) -> ValidationReport:
     bad: list[tuple[str, tuple]] = []
-    m = len(g.strata)
+    # members by their sorted labels: the same violation first on every run
+    strata = [sorted(p, key=sorted) for p in g.strata]
+    m = len(strata)
     full = frozenset(g.ground)
     if m < 3:
         bad.append(("J1", ("m", m)))
@@ -83,7 +83,7 @@ def validate_mpeg(g: MPeg) -> ValidationReport:
         seen |= set(p)
     if m >= 1 and g.strata[-1] != frozenset((full,)):
         bad.append(("J1", ("top stratum", tuple(sorted(map(sorted, g.strata[-1]))))))
-    for p in g.strata[0] if g.strata else ():
+    for p in strata[0] if strata else ():
         if len(p) != 1:
             bad.append(("J2", tuple(sorted(p))))
     atoms = frozenset(x for p in g.strata[0] for x in p) if g.strata else frozenset()
@@ -91,7 +91,7 @@ def validate_mpeg(g: MPeg) -> ValidationReport:
         bad.append(("J2", ("ground mismatch", tuple(sorted(
             frozenset(g.ground) ^ atoms)))))
     for i in range(1, m):
-        for p in g.strata[i]:
+        for p in strata[i]:
             if not p <= atoms:
                 bad.append(("J3", tuple(sorted(p - atoms))))
             if not any(q < p for q in g.strata[i - 1]):
@@ -100,7 +100,7 @@ def validate_mpeg(g: MPeg) -> ValidationReport:
     for i, stratum in enumerate(g.strata):
         for p in stratum:
             levels[p] = i + 1
-    graded = [p for i in range(1, m) for p in g.strata[i]]
+    graded = [p for i in range(1, m) for p in strata[i]]
     for p, q in itertools.combinations(graded, 2):
         i, j = levels[p], levels[q]
         inter = p & q
@@ -131,7 +131,9 @@ def geo_of_lattice(vg: VGenLattice) -> PEG:
 def lat_of_peg(g: PEG) -> VGenLattice:
     """Stack bottom, points, lines, top; points sit below their lines.
 
-    A lattice over the cap is refused before the quadratic validation.
+    The down-sets are written directly: a point holds the bottom and itself,
+    a line the bottom, its points and itself, and the top everything.  A
+    lattice over the cap is refused before the quadratic validation.
     """
     check_lattice_cap(2 + len(g.points) + len(g.lines))
     rep = validate_peg(g)
@@ -139,24 +141,22 @@ def lat_of_peg(g: PEG) -> VGenLattice:
         raise FormatError(f"not a valid geometry: {rep.violations[:1]}")
     if len(g.lines) < 2:
         raise TooFewLines("the lattice construction needs at least two lines")
-    line_labels = {l: flat_label(l, g.points) for l in g.lines}
+    label = {l: flat_label(l, g.points) for l in g.lines}
+    lines = sorted(g.lines, key=label.__getitem__)
     bot, top = "_B_", "_T_"
     while bot in g.points:
         bot += "_"
     while top in g.points:
         top += "_"
-    elements = [bot, *g.points, *sorted(line_labels.values()), top]
-    pairs = [(bot, p) for p in g.points]
-    by_label = {v: k for k, v in line_labels.items()}
-    for lbl in sorted(line_labels.values()):
-        pairs.append((lbl, top))
-        for p in by_label[lbl]:
-            pairs.append((p, lbl))
-    for p in g.points:
-        if not g.lines_through(p):
-            pairs.append((p, top))
-    lat = FiniteLattice.from_covers(elements, pairs)
-    return VGenLattice(lat, tuple(g.points))
+    elements = (bot, *g.points, *map(label.__getitem__, lines), top)
+    if len(set(elements)) != len(elements):
+        raise FormatError("duplicate element labels")
+    index = {x: i for i, x in enumerate(elements)}
+    first = 1 + len(g.points)  # the first line's index
+    down = (1, *(1 | 1 << i for i in range(1, first)),
+            *(1 | labels_to_mask(l, index) | 1 << i for i, l in enumerate(lines, first)),
+            (1 << len(elements)) - 1)
+    return VGenLattice(FiniteLattice(elements, down), tuple(g.points))
 
 
 # -- the height-3 matroid ---------------------------------------------------------------
@@ -282,10 +282,7 @@ def peg_to_json(g: PEG) -> str:
 
 
 def peg_from_json(text: str) -> PEG:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON: {e}") from None
+    data = _json_load(text)
     if not isinstance(data, dict) or "points" not in data or "lines" not in data:
         raise FormatError("expected an object with 'points' and 'lines'")
     points = tuple(_json_labels(data["points"], "'points'"))
@@ -297,10 +294,7 @@ def peg_from_json(text: str) -> PEG:
 
 def mpeg_from_json(text: str) -> MPeg:
     """{"ground": [...], "strata": [[[...], ...], ...]}, strata listed bottom up."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON: {e}") from None
+    data = _json_load(text)
     if not isinstance(data, dict) or "ground" not in data or "strata" not in data:
         raise FormatError("expected an object with 'ground' and 'strata'")
     if not isinstance(data["strata"], list):

@@ -641,6 +641,15 @@ def hc_to_json(hc: HereditaryCollection) -> str:
     return json.dumps({"ground": list(hc.ground), "facets": fac})
 
 
+def _json_load(text: str):
+    """The decoded JSON value; every decoding failure, including nesting too
+    deep to parse and an integer past Python's digit limit, is a FormatError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise FormatError(f"bad JSON: {e}") from None
+
+
 def _json_labels(value, what: str) -> list[str]:
     """A decoded JSON array of strings or integers, as label strings."""
     if not isinstance(value, list) or not all(
@@ -659,10 +668,7 @@ def _json_label_sets(value, what: str) -> list[list[str]]:
 def hc_from_json(text: str, max_ground: int | None = None) -> HereditaryCollection:
     """Parse a collection; with max_ground, refuse a larger ground before
     any facet is expanded into its subsets."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON: {e}") from None
+    data = _json_load(text)
     if not isinstance(data, dict) or "ground" not in data:
         raise FormatError("expected an object with a 'ground' key")
     ground = _json_labels(data["ground"], "'ground'")
@@ -688,7 +694,8 @@ def _collection(n: int, r: int, drop: str = "", extra: str = "") -> HereditaryCo
     """The subsets of at most r of the points 1..n, less the sets in drop,
     plus those in extra; drop and extra are space-separated digit strings."""
     g = _ground(n)
-    h = {c for k in range(r + 1) for c in itertools.combinations(g, k)}
+    # no subset of the n points has more than n members
+    h = {c for k in range(min(r, n) + 1) for c in itertools.combinations(g, k)}
     h -= set(map(tuple, drop.split()))
     return HereditaryCollection(g, [*h, *extra.split()])
 

@@ -143,6 +143,13 @@ class VCongruence:
     def block_of(self):
         return {x: b for b in self.blocks for x in b}.__getitem__
 
+    @cached_property
+    def block_max(self) -> dict[str, str]:
+        """Each element's block maximum (the join of its block), in lattice order."""
+        lat, of = self.lattice, self.block_of
+        tops = {b: lat.join_of(b) for b in self.blocks}
+        return {x: tops[of(x)] for x in lat.labels}
+
     @classmethod
     def from_pairs(cls, lattice: FiniteLattice, pairs: Iterable[tuple[str, str]]
                    ) -> "VCongruence":
@@ -196,13 +203,7 @@ class ClosureOp:
 
 def closure_from_congruence(rho: VCongruence) -> ClosureOp:
     """Send each element to the maximum (= join) of its block."""
-    lat = rho.lattice
-    f = {}
-    for b in rho.blocks:
-        m = lat.join_of(b)
-        for x in b:
-            f[x] = m
-    return ClosureOp(lat, f)
+    return ClosureOp(rho.lattice, dict(rho.block_max))
 
 
 def congruence_from_closure(xi: ClosureOp) -> VCongruence:
@@ -215,7 +216,7 @@ def family_from_congruence(vg: VGenLattice, rho: VCongruence) -> frozenset[froze
     lat = vg.lattice
     if rho.lattice is not lat and rho.lattice.labels != lat.labels:
         raise FormatError("congruence lives on a different lattice")
-    return frozenset(vg.z_of(lat.join_of(b)) for b in rho.blocks)
+    return frozenset(map(vg.z_of, set(rho.block_max.values())))
 
 
 def congruence_from_family(vg: VGenLattice, family: Iterable[frozenset[str]]
@@ -241,18 +242,19 @@ def quotient_lattice(lat: FiniteLattice, rho: VCongruence,
     Blocks are named after their maximum element.  When generators are given
     they are pushed through the projection (dropping the new bottom).
     """
-    names = {}
-    for b in rho.blocks:
-        m = lat.join_of(b)
-        for x in b:
-            names[x] = m
+    return _quotient(lat, dict(rho.block_max), gens)
+
+
+def _quotient(lat: FiniteLattice, names: dict[str, str],
+              gens: Sequence[str] | None) -> tuple[FiniteLattice, VMap]:
+    """The sublattice of the values of a block-maximum map, the projection
+    onto it, and the generators pushed through (the new bottom dropped)."""
     q = _sublattice(lat, names.values())
     qgens = None
     if gens is not None:
         qgens = tuple(dict.fromkeys(
             names[e] for e in gens if names[e] != q.bottom))
-    proj = VMap(lat, q, names, tuple(gens) if gens else None, qgens)
-    return q, proj
+    return q, VMap(lat, q, names, tuple(gens) if gens else None, qgens)
 
 
 def rees_quotient(lat: FiniteLattice, ideal: Iterable[str]) -> FiniteLattice:
@@ -284,6 +286,9 @@ def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLa
     s is join closed, so it has a top t, and x join a = y join b for some
     members a, b exactly when x join t = y join t.  The relation is therefore
     already transitive: it is the kernel of the closure operator x -> x join t.
+    Named by their maxima, its blocks are the values x join t, which are
+    exactly the elements above t (each such x is x join t): the quotient is
+    the up-set of t.
     """
     sub = sorted(frozenset(s), key=lat.index)
     if not sub:
@@ -292,8 +297,7 @@ def quotient_by_subsemilattice(lat: FiniteLattice, s: Iterable[str]) -> FiniteLa
         if lat.join(x, y) not in sub:
             raise NotJoinClosed((x, y))
     t = lat.join_of(sub)
-    rho = VCongruence(lat, _blocks_by(lat.labels, lambda x: lat.join(x, t)))
-    return quotient_lattice(lat, rho)[0]
+    return _sublattice(lat, (x for x in lat.labels if lat.leq(t, x)))
 
 
 # -- MPS / MPI factorization ---------------------------------------------------------------
@@ -323,6 +327,14 @@ def mps_factorize(phi: VMap) -> list[MpsStep]:
     lower element; composing the steps (with the final bijection folded into
     the last step) reproduces the original map exactly.  A bijection yields
     the empty list.
+
+    A non-injective map always has such a pair.  Let b be maximal among the
+    elements strictly below the maximum m of their kernel block.  An upper
+    cover c <= m of b lies in b's block, so c = m; any other upper cover c
+    lies strictly below c join m, which is in c's own block, against the
+    choice of b.  So m is b's only upper cover, and f(m) = f(b).  The pair's
+    congruence has the one nontrivial block {upper, lower}, named upper, so
+    the step deletes its lower element.
     """
     validate_vmap(phi)
     if not phi.is_surjective():
@@ -330,23 +342,17 @@ def mps_factorize(phi: VMap) -> list[MpsStep]:
     steps: list[MpsStep] = []
     cur = phi
     while not cur.is_injective():
-        lat = cur.source
-        pick = None
-        for b in sorted(lat.labels, key=lat.index):
-            if b == lat.top or len(lat.upper_covers(b)) != 1:
-                continue  # need b strictly meet irreducible
-            (a,) = lat.upper_covers(b)
-            if cur.mapping[a] == cur.mapping[b]:
-                pick = (a, b)
-                break
-        if pick is None:
-            raise JoinViolation("non-injective join map without a collapsible pair")
-        a, b = pick
-        rho = VCongruence.from_pairs(lat, [(a, b)])
-        q, proj = quotient_lattice(lat, rho, cur.source_gens)
+        lat, f = cur.source, cur.mapping
+        for b in lat.labels:
+            ups = lat.upper_covers(b)
+            if len(ups) == 1:  # b strictly meet irreducible
+                (a,) = ups
+                if f[a] == f[b]:
+                    break
+        q, proj = _quotient(lat, {x: a if x == b else x for x in lat.labels},
+                            cur.source_gens)
         steps.append(MpsStep(a, b, proj))
-        cur = VMap(q, cur.target,
-                   {x: cur.mapping[x] for x in q.labels},
+        cur = VMap(q, cur.target, {x: f[x] for x in q.labels},
                    proj.target_gens, cur.target_gens)
     if steps:
         # fold the remaining bijection into the last step so composition == phi
@@ -360,41 +366,29 @@ def mpi_factorize(phi: VMap) -> list[MpiStep]:
 
     Working down from the target, a minimal missing element is strictly join
     irreducible, so deleting it leaves a lattice and the inclusion is a
-    maximal proper injective step.
+    maximal proper injective step.  A finite nonempty set of missing
+    elements always has a minimal one.
     """
     validate_vmap(phi)
     if not phi.is_injective():
         raise NotInjective("factorization needs a one-to-one map")
-    steps: list[MpiStep] = []
-    tgt = phi.target
-    image = phi.image()
-    chain = [tgt]
-    removed: list[str] = []
-    cur_labels = set(tgt.labels)
-    while cur_labels != image:
-        missing = sorted(cur_labels - image, key=tgt.index)
-        a = None
-        for x in missing:
-            # minimal missing element: nothing missing strictly below it
-            if not any(tgt.leq(y, x) and y != x for y in missing):
-                a = x
-                break
-        if a is None:
-            raise JoinViolation("no minimal element outside the image")
+    tgt, image = phi.target, phi.image()
+    chain, removed = [tgt], []
+    cur = set(tgt.labels)
+    while cur != image:
+        missing = sorted(cur - image, key=tgt.index)
+        # minimal missing element: nothing missing strictly below it
+        a = next(x for x in missing
+                 if not any(tgt.leq(y, x) and y != x for y in missing))
         removed.append(a)
-        cur_labels.discard(a)
-        sub = _sublattice(tgt, cur_labels)
-        chain.append(sub)
+        cur.discard(a)
+        chain.append(_sublattice(tgt, cur))
     chain.reverse()  # smallest first
-    removed.reverse()
-    for k, added in enumerate(removed):
-        small, big = chain[k], chain[k + 1]
-        inc = VMap(small, big, {x: x for x in small.labels})
-        steps.append(MpiStep(added, inc))
+    steps = [MpiStep(added, VMap(small, big, {x: x for x in small.labels}))
+             for added, small, big in zip(reversed(removed), chain, chain[1:])]
     if steps:
         # fold the initial bijection (source onto its image) into the first step
-        base = _sublattice(tgt, image)
-        iso = VMap(phi.source, base, dict(phi.mapping), phi.source_gens, None)
+        iso = VMap(phi.source, chain[0], dict(phi.mapping), phi.source_gens, None)
         steps[0] = MpiStep(steps[0].added, compose(iso, steps[0].map))
     return steps
 

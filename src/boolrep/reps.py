@@ -322,18 +322,16 @@ class RepresentationLattice(Set):
 
 
 def minimal_representations(hc: HereditaryCollection,
-                            max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
                             walk: RepresentationLattice | None = None
                             ) -> list[RepRecord]:
-    walk = walk or RepresentationLattice(hc, max_nontrivial=max_nontrivial)
+    walk = walk or RepresentationLattice(hc)
     return [walk.record(f) for f in walk.minimal_families()]
 
 
 def sji_representations(hc: HereditaryCollection,
-                        max_nontrivial: int = DEFAULT_MAX_NONTRIVIAL_FLATS,
                         walk: RepresentationLattice | None = None
                         ) -> list[RepRecord]:
-    walk = walk or RepresentationLattice(hc, max_nontrivial=max_nontrivial)
+    walk = walk or RepresentationLattice(hc)
     return [walk.record(f) for f in walk.sji_families()]
 
 

@@ -35,6 +35,13 @@ def run_cli(args, stdin_text=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# JSON that json.loads refuses with something other than JSONDecodeError:
+# nesting past the recursion limit (RecursionError), and an integer past
+# Python's 4 300-digit limit (a plain ValueError)
+DEEP_JSON = "[" * 10000 + "]" * 10000
+BIG_INT = "1" * 5000
+
+
 def run_main(capsys, args, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         import io
@@ -247,6 +254,27 @@ class TestGeoMpeg:
         assert json.loads(out)["error"] == "FormatError"
 
 
+    @pytest.mark.parametrize("args,text", [
+        (["geo", "--to-lattice"],
+         {"points": ["1", "2", "3", "4", "5"],
+          "lines": [["1", "2", "3"], ["1", "2", "4"], ["3", "4", "5"], ["2", "3", "5"]]}),
+        (["mpeg", "--to-lattice"],
+         {"ground": ["1", "2", "3", "4"],
+          "strata": [[["1"], ["2"], ["3"], ["4"]],
+                     [["1", "2", "3"], ["2", "3", "4"], ["1", "3", "4"], ["1", "2", "4"]],
+                     [["1", "2", "3", "4"]]]}),
+    ], ids=["geo", "mpeg"])
+    def test_refusal_names_the_same_violation_every_run(self, monkeypatch, args, text):
+        # several violations: the one printed must not follow string hashing
+        outs = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            code, out, _ = run_cli(args, json.dumps(text))
+            assert code == 1
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
 class TestMapsFactorize:
     def test_chain_quotient(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
@@ -305,6 +333,18 @@ class TestErrorsAndCodes:
                              monkeypatch=monkeypatch)
         assert code == 1
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("args,key", [(["flats"], "ground"),
+                                          (["geo", "--to-lattice"], "points"),
+                                          (["mpeg", "--to-lattice"], "ground")],
+                             ids=["flats", "geo", "mpeg"])
+    @pytest.mark.parametrize("shape", ["deep", "big-int"])
+    def test_undecodable_json_is_format_error(self, args, key, shape):
+        text = DEEP_JSON if shape == "deep" else '{"%s": [%s]}' % (key, BIG_INT)
+        code, out, err = run_cli(args, text)
+        assert (code, err) == (1, "")
+        obj = json.loads(out)
+        assert obj["error"] == "FormatError" and obj["detail"].startswith("bad JSON: ")
 
     def test_domain_error_is_1(self, capsys, monkeypatch):
         bad = json.dumps({"ground": ["1", "2"], "facets": [["1", "9"]]})
@@ -663,6 +703,8 @@ def collection_json(draw):
 class TestCollectionContractFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(verb=st.sampled_from(COLLECTION_VERBS), case=collection_json())
+    @example(verb=["flats"], case=(DEEP_JSON, False))
+    @example(verb=["sji-reps"], case=('{"ground": [%s], "facets": []}' % BIG_INT, False))
     def test_exit_code_and_error_object(self, verb, case):
         text, outside = case
         out = io.StringIO()
@@ -915,6 +957,8 @@ class TestLatticeContractFuzz:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=geo_json_case())
+    @example(case=("geo", DEEP_JSON, ""))
+    @example(case=("mpeg", '{"ground": [%s], "strata": []}' % BIG_INT, ""))
     def test_geometry_json(self, case):
         verb, text, fault = case
         code, error = assert_contract([verb, "--to-lattice"], text)

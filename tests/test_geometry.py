@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -25,7 +26,8 @@ from boolrep.geometry import (
     validate_peg,
 )
 from boolrep.hereditary import FANO_LINES, fano, flat_lattice
-from boolrep.lattice import VGenLattice, c_independent, lattice_from_covers
+from boolrep.lattice import FiniteLattice, VGenLattice, c_independent, flat_label, \
+    lattice_from_covers
 from conftest import fs, random_lattice_of_height
 
 
@@ -119,6 +121,44 @@ class TestGeoLat:
         assert len(lat_of_peg(PEG(points[:60], lines)).lattice) == 64
         with pytest.raises(TooLarge):
             lat_of_peg(PEG(points, lines))
+
+    def test_down_sets_written_directly(self):
+        """Built without the cover-pair closure, the lattice still puts a
+        point below exactly the lines through it, every point and line above
+        the bottom and below the top, and nothing else in order."""
+        rng = random.Random(77)
+        pegs = []
+        while len(pegs) < 40:
+            points = tuple(rng.sample("123456789", rng.randint(3, 7)))
+            lines = set()
+            for _ in range(8):
+                cand = frozenset(rng.sample(points, rng.randint(2, 3)))
+                if all(len(cand & l) <= 1 for l in lines):
+                    lines.add(cand)
+            if len(lines) >= 2:
+                pegs.append(PEG(points, frozenset(lines)))
+
+        def refuse(*args):
+            raise AssertionError("from_covers was called")
+
+        with mock.patch.object(FiniteLattice, "from_covers", refuse):
+            for g in pegs:
+                vg = lat_of_peg(g)
+                lat = vg.lattice
+                names = sorted(flat_label(l, g.points) for l in g.lines)
+                assert lat.labels == (lat.bottom, *g.points, *names, lat.top)
+                assert vg.gens == g.points
+                line_of = {flat_label(l, g.points): l for l in g.lines}
+                for x, y in itertools.product(lat.labels, repeat=2):
+                    expected = (x == y or x == lat.bottom or y == lat.top
+                                or (x in g.points and y in line_of and x in line_of[y]))
+                    assert lat.leq(x, y) == expected
+
+    def test_duplicate_element_labels(self):
+        # a point named like a line's label collides with it in the lattice
+        g = PEG(("1", "2", "3", "{1,2}"), frozenset({fs("1", "2"), fs("2", "3")}))
+        with pytest.raises(FormatError, match="^duplicate element labels$"):
+            lat_of_peg(g)
 
     def test_peg_round_trip_through_lattice(self):
         rng = random.Random(321)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -87,6 +88,21 @@ class TestConstruction:
 
     def test_uniform_count(self):
         assert len(uniform(3, 6).independents) == 1 + 6 + 15 + 20
+
+    def test_uniform_rank_past_ground_is_free(self):
+        # U(a, b) with a >= b is the free matroid: the subset sizes stop at
+        # b, so a huge a costs nothing
+        real = itertools.combinations
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with mock.patch("itertools.combinations", counted):
+            hc = uniform(20000, 6)
+        assert len(calls) <= 7
+        assert hc == uniform(6, 6)
 
     def test_json_round_trip(self):
         hc = example_bigex()

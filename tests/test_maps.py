@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -323,6 +324,70 @@ class TestFactorization:
         if is_vmap(phi):
             mps_steps, mpi_steps = csi_factorize(phi)
             assert len(mpi_steps) >= 1
+
+
+def _projections(n=6, per_lattice=None):
+    """The projection of each join congruence of every lattice of at most n
+    elements (the first per_lattice congruences of each), without and with
+    the strictly join irreducible elements as generators."""
+    for lat in lattices_up_to(n):
+        sji = tuple(sorted(lat.sji_elements(), key=lat.index))
+        for rho in itertools.islice(all_join_congruences(lat), per_lattice):
+            for gens in (None, sji):
+                yield quotient_lattice(lat, rho, gens)[1]
+
+
+def _lattice_key(lat):
+    return lat.labels, lat.down
+
+
+class TestDirectQuotients:
+    """MPS steps and subsemilattice quotients name the elements they keep
+    and build no congruence; the congruence path stays as their oracle."""
+
+    def test_no_congruence_is_built(self):
+        projections = list(_projections())
+        subs = []
+        for lat in lattices_up_to(6):
+            for r in (1, 2, 3):
+                for sub in itertools.combinations(lat.labels, r):
+                    if all(lat.join(x, y) in sub for x, y in itertools.combinations(sub, 2)):
+                        subs.append((lat, sub, _lattice_key(quotient_by_pair_scan(lat, sub))))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a congruence was built")
+
+        # `record` binds __post_init__ when it decorates the class, so the
+        # constructor itself is what a patch can replace
+        with mock.patch.object(VCongruence, "__init__", refuse):
+            for proj in projections:
+                steps = mps_factorize(proj)
+                if steps:
+                    assert compose_steps(steps).mapping == proj.mapping
+                else:
+                    assert proj.is_injective()
+            for lat, sub, expected in subs:
+                assert _lattice_key(quotient_by_subsemilattice(lat, sub)) == expected
+        assert len(projections) > 900 and len(subs) > 200
+
+    def test_each_step_is_the_pair_quotient(self):
+        count = 0
+        for proj in _projections(per_lattice=8):
+            steps = mps_factorize(proj)
+            for k, s in enumerate(steps):
+                src = s.map.source
+                rho = VCongruence.from_pairs(src, [(s.upper, s.lower)])
+                q, oracle = quotient_lattice(src, rho, s.map.source_gens)
+                f, g = s.map.mapping, oracle.mapping
+                if k < len(steps) - 1:
+                    assert _lattice_key(s.map.target) == _lattice_key(q)
+                    assert (f, s.map.target_gens) == (g, oracle.target_gens)
+                else:  # the final bijection is folded into the last step
+                    assert all((f[x] == f[y]) == (g[x] == g[y])
+                               for x, y in itertools.combinations(src.labels, 2))
+                assert s.map.source_gens == oracle.source_gens
+                count += 1
+        assert count > 500
 
 
 class TestRees:
