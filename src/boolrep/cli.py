@@ -124,10 +124,9 @@ def cmd_circuits(args) -> int:
 
 def cmd_rank(args) -> int:
     hc = _load_hc(args.input)
-    rf = hereditary.rank_function(hc)
-    payload = {"rank": rf.rank,
-               "hyperplanes": _subsets_sorted(hc, hereditary._hyperplane_masks(hc))}
-    _emit(args, payload, [f"rank: {rf.rank}"])
+    payload = {"rank": hc.rank,
+               "hyperplanes": _subsets_sorted(hc, hc.flats().coatom_masks())}
+    _emit(args, payload, [f"rank: {hc.rank}"])
     return 0
 
 
@@ -185,18 +184,16 @@ def _rep_report(args, which: str) -> int:
               "sji_raw": sji_raw, "sji_orbits": sji_orbits, "mindeg": md}
     # the text of json.dumps(payload, indent=2, sort_keys=True), written one
     # family at a time.  Each of the walk's flats gets its label list and its
-    # family_matrix line encoded once, at the depth (8 spaces) where a family
-    # lists them; flat labels start with "{", never the auto r0, r1, ...
-    # pattern, so to_text would print the same `row: {label} bits` lines
-    n = len(hc.ground)
+    # line of the flats' family_matrix text encoded once, at the depth (8
+    # spaces) where a family lists them
     item = ",\n" + " " * 8
-    labels, rows = [], []
-    for m, name in zip(flats, names):
-        labels.append(json.dumps(lattice.mask_to_list(m, hc.ground), indent=2
-                                 ).replace("\n", "\n" + " " * 8))
-        bits = "".join(str(1 - (m >> j & 1)) for j in range(n))
-        rows.append(item + json.dumps(f"row: {name} {bits}"))
-    cols = json.dumps("cols: " + " ".join(hc.ground))
+    fm = lattice.family_matrix(hc.flats())
+    cols, *lines = fm.to_text().rstrip("\n").split("\n")
+    row_of = dict(zip(fm.row_labels, lines))
+    labels = [json.dumps(lattice.mask_to_list(m, hc.ground), indent=2
+                         ).replace("\n", "\n" + " " * 8) for m in flats]
+    rows = [item + json.dumps(row_of[name]) for name in names]
+    cols = json.dumps(cols)
     out = sys.stdout
     out.write('{\n  "counts": '
               + json.dumps(counts, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -247,12 +244,20 @@ def cmd_truncate(args) -> int:
     return 0
 
 
+def _write_lattice(build, g, labels) -> int:
+    """Write build(g) in the lattice text format.  A label that the format's
+    reader would drop (empty) or split (whitespace, "<") is refused first."""
+    for x in labels:
+        if x.split() != [x] or "<" in x:
+            raise FormatError(f"label {x!r} cannot be written in the lattice text format")
+    sys.stdout.write(lattice.lattice_to_text(build(g)))
+    return 0
+
+
 def cmd_geo(args) -> int:
     if args.to_lattice:
         g = geometry.peg_from_json(_read_input(args.input))
-        vg = geometry.lat_of_peg(g)
-        sys.stdout.write(lattice.lattice_to_text(vg))
-        return 0
+        return _write_lattice(geometry.lat_of_peg, g, g.points)
     obj = lattice.lattice_from_text(_read_input(args.input))
     if not isinstance(obj, lattice.VGenLattice):
         raise FormatError("geometry extraction needs a gens: line")
@@ -265,9 +270,7 @@ def cmd_geo(args) -> int:
 def cmd_mpeg(args) -> int:
     if args.to_lattice:
         g = geometry.mpeg_from_json(_read_input(args.input))
-        vg = geometry.lattice_of_mpeg(g)
-        sys.stdout.write(lattice.lattice_to_text(vg))
-        return 0
+        return _write_lattice(geometry.lattice_of_mpeg, g, g.ground)
     obj = lattice.lattice_from_text(_read_input(args.input))
     lat = obj.lattice if isinstance(obj, lattice.VGenLattice) else obj
     g = geometry.mpeg_of_atomic_lattice(lat)

@@ -23,7 +23,7 @@ from .errors import (
     WrongSize,
 )
 from .hereditary import HereditaryCollection, _json_label_sets, _json_labels, _json_load
-from .lattice import FiniteLattice, FlatFamily, VGenLattice, c_independent, \
+from .lattice import DOT_ESCAPES, FiniteLattice, FlatFamily, VGenLattice, c_independent, \
     check_lattice_cap, flat_label, generated_lattice, labels_to_mask
 
 
@@ -236,23 +236,22 @@ def lattice_of_mpeg(g: MPeg) -> VGenLattice:
     rep = validate_mpeg(g)
     if not rep.ok:
         raise BadMpeg(rep.violations[:1])
-    gidx = {p: i for i, p in enumerate(g.ground)}  # validated: members lie in E
     # J5 makes the members closed under intersection, and J2 makes each point
     # a member, so the generators are the points
-    return generated_lattice(FlatFamily.from_masks(
-        g.ground, frozenset(labels_to_mask(p, gidx) for p in members)))
+    return generated_lattice(FlatFamily(g.ground, members))
 
 
 # -- height-4 hyperplane criterion ------------------------------------------------------------
 
 
 def lattice_hyperplanes(vg: VGenLattice) -> frozenset[frozenset[str]]:
-    """Maximal generator flats other than the full one."""
-    flats = {vg.z_of(x) for x in vg.lattice.labels}
-    full = frozenset(vg.gens)
-    proper = [f for f in flats if f != full]
-    return frozenset(
-        f for f in proper if not any(f < g for g in proper))
+    """Maximal generator flats other than the full one: the coatoms' traces.
+
+    The traces are ordered as L is (VGenLattice), and only the top's holds
+    every generator, so the maximal proper traces are the coatoms'.
+    """
+    lat = vg.lattice
+    return frozenset(map(vg.z_of, lat.lower_covers(lat.top)))
 
 
 def four_subset_independent_via_hyperplane(vg: VGenLattice, xs: Iterable[str]) -> bool:
@@ -311,17 +310,19 @@ def mpeg_from_json(text: str) -> MPeg:
 def peg_dot(g: PEG) -> str:
     """Levi-style diagram: line nodes in a rank above the point nodes."""
     order = {p: i for i, p in enumerate(g.points)}
+    esc = {p: p.translate(DOT_ESCAPES) for p in g.points}
     lines = sorted(g.lines, key=lambda l: sorted(order[x] for x in l))
     out = ["graph geometry {"]
     out.append("  node [shape=circle]; " +
-               " ".join(f'"{p}"' for p in g.points) + ";")
+               " ".join(f'"{esc[p]}"' for p in g.points) + ";")
     names = {}
     for i, l in enumerate(lines):
         names[l] = f"L{i}"
-        out.append(f'  "L{i}" [shape=box, label="{flat_label(l, g.points)}"];')
+        label = flat_label(l, g.points).translate(DOT_ESCAPES)
+        out.append(f'  "L{i}" [shape=box, label="{label}"];')
     out.append("  { rank=same; " + " ".join(f'"{names[l]}"' for l in lines) + " }")
     for l in lines:
         for p in sorted(l, key=order.__getitem__):
-            out.append(f'  "{names[l]}" -- "{p}";')
+            out.append(f'  "{names[l]}" -- "{esc[p]}";')
     out.append("}")
     return "\n".join(out) + "\n"

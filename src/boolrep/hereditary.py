@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import comb
 
@@ -31,8 +31,8 @@ from .errors import (
     RankTooSmall,
     TooLarge,
 )
-from .lattice import FlatFamily, VGenLattice, _bits, closure_op, family_matrix, \
-    generated_lattice, labels_to_mask, mask_order, mask_to_labels, mask_to_list
+from .lattice import FlatFamily, VGenLattice, _bits, family_matrix, generated_lattice, \
+    labels_to_mask, mask_order, mask_to_labels, mask_to_list
 from .sbcore import BoolMatrix
 
 
@@ -350,13 +350,9 @@ class HereditaryCollection:
         return self._flats
 
     @cached_property
-    def _closure(self) -> Callable[[int], int]:
-        return closure_op(self._flat_masks, self.full_mask)
-
-    @cached_property
     def _chain_failure(self) -> int | None:
         """An independent set without strictly decreasing flat closures, or None."""
-        return _chain_admissible(self._h_sorted, self._closure)
+        return _chain_admissible(self._h_sorted, self._flats._closure)
 
     @cached_property
     def _witness_sets(self) -> list[list[int]]:
@@ -386,7 +382,7 @@ class HereditaryCollection:
 
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         """Smallest flat containing xs."""
-        return self.set_of(self._closure(self.mask_of(xs)))
+        return self.set_of(self._flats._closure(self.mask_of(xs)))
 
     # -- circuits -----------------------------------------------------------------
 
@@ -485,35 +481,26 @@ class RankFunction:
 
 
 def rank_function(hc: HereditaryCollection) -> RankFunction:
-    """Max independent-subset size for every subset, by a DP over masks.
+    """Max independent-subset size for every subset, by one subset DP.
 
-    r(X) is |X| for independent X and otherwise the largest r(X - x).
+    r starts at |m| on each m in H and 0 elsewhere; taking, one pass per
+    point b, r(X) = max(r(X), r(X - b)) for each X that holds b leaves at X
+    the largest |m| over the members m of H inside X.
     """
-    n = len(hc.ground)
-    hm = hc.h_masks
-    r = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        if m in hm:
-            r[m] = m.bit_count()
-        else:
-            best = 0
-            t = m
-            while t:
-                low = t & (-t)
-                best = max(best, r[m ^ low])
-                t ^= low
-            r[m] = best
+    r = [0] * (hc.full_mask + 1)
+    for m in hc.h_masks:
+        r[m] = m.bit_count()
+    for b in range(len(hc.ground)):
+        step = 1 << b
+        for x in range(len(r)):
+            if x & step and r[x ^ step] > r[x]:
+                r[x] = r[x ^ step]
     return RankFunction(hc.ground, tuple(r))
 
 
 def hyperplanes(hc: HereditaryCollection) -> frozenset[frozenset[str]]:
     """Maximal flats other than the full ground set."""
-    return frozenset(map(hc.set_of, _hyperplane_masks(hc)))
-
-
-def _hyperplane_masks(hc: HereditaryCollection) -> list[int]:
-    fl = [m for m in hc._flat_masks if m != hc.full_mask]
-    return [m for m in fl if not any(w != m and w & m == m for w in fl)]
+    return frozenset(map(hc.set_of, hc.flats().coatom_masks()))
 
 
 # -- boolean representability --------------------------------------------------------
@@ -628,7 +615,7 @@ def paving_representable(hc: HereditaryCollection) -> bool:
     r = hc.rank
     if r <= 2:
         raise RankTooSmall(f"paving semantics need rank > 2, got {r}")
-    cl = hc._closure
+    cl = hc.flats()._closure
     return all(any(not cl(s ^ (1 << x)) >> x & 1 for x in _bits(s))
                for s in hc.h_masks if s.bit_count() == r)
 

@@ -27,6 +27,7 @@ from .errors import (
 from .sbcore import BoolMatrix
 
 DEFAULT_LATTICE_CAP = 64
+DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # escapes a label for a quoted DOT string
 
 
 def _bits(x: int):
@@ -234,9 +235,8 @@ class FiniteLattice:
         )
 
     def is_atomic(self) -> bool:
-        atoms = self.atoms()
-        return all(self.join_of(a for a in atoms if self.leq(a, x)) == x
-                   for x in self.labels)
+        atoms = labels_to_mask(self.atoms(), self._index)
+        return all(self._closure(d & atoms) == d for d in self.down)
 
     def __repr__(self) -> str:
         return f"FiniteLattice({len(self.labels)} elements, height {self.height()})"
@@ -275,10 +275,22 @@ class VGenLattice:
             if lat._closure(d & gen_mask) != d:
                 raise NotALattice(f"{x!r} is not a join of generators")
 
+    @cached_property
+    def _traces(self) -> tuple[int, ...]:
+        """Per element, in lattice order, the mask over gens of the generators
+        below it.  Each element is the join of its trace, so x <= y exactly
+        when trace(x) is inside trace(y): the traces are ordered as L is."""
+        return _traces_over(self.lattice, self.gens)
+
     def z_of(self, x: str) -> frozenset[str]:
         """Generators below x (the zero set of x's matrix row)."""
-        lat = self.lattice
-        return frozenset(g for g in self.gens if lat.leq(g, x))
+        return mask_to_labels(self._traces[self.lattice.index(x)], self.gens)
+
+
+def _traces_over(lat: FiniteLattice, cols: Sequence[str]) -> tuple[int, ...]:
+    """Per element of lat, the mask over cols of the columns below it."""
+    idx = [lat.index(c) for c in cols]
+    return tuple(sum(1 << k for k, i in enumerate(idx) if d >> i & 1) for d in lat.down)
 
 
 def labels_to_mask(labels: Iterable[str], index: dict[str, int]) -> int:
@@ -386,6 +398,12 @@ class FlatFamily:
         """Members by size, then by their points' ground positions."""
         return sorted(self.masks, key=mask_order)
 
+    def coatom_masks(self) -> list[int]:
+        """The maximal members other than E (a collection's hyperplanes)."""
+        full = (1 << len(self.ground)) - 1
+        proper = [m for m in self.masks if m != full]
+        return [m for m in proper if not any(w != m and w & m == m for w in proper)]
+
 
 def flat_label(s: frozenset, ground: Sequence[str]) -> str:
     """Canonical label of a flat: members in ground order inside braces."""
@@ -398,37 +416,35 @@ def mask_label(mask: int, ground: Sequence[str]) -> str:
     return "{" + ",".join(mask_to_list(mask, ground)) + "}"
 
 
+def _complement_rows(zero_masks: Sequence[int], cols: Sequence[str],
+                     labels: Sequence[str] | None = None) -> BoolMatrix:
+    """One row per zero-set mask over cols, 0 exactly at the mask's columns;
+    rows are labelled by mask_label unless labels are given."""
+    full = (1 << len(cols)) - 1
+    return BoolMatrix.from_masks(tuple(full & ~z for z in zero_masks), cols,
+                                 labels or tuple(mask_label(z, cols) for z in zero_masks))
+
+
 def family_matrix(fam: FlatFamily) -> BoolMatrix:
     """Rows: members in size order, labelled by flat_label; columns: points.
 
     An entry is 0 exactly when the column's point lies in the row's member.
     """
-    full = (1 << len(fam.ground)) - 1
-    ms = fam.sorted_masks()
-    return BoolMatrix.from_masks(tuple(full & ~m for m in ms), fam.ground,
-                                 tuple(mask_label(m, fam.ground) for m in ms))
+    return _complement_rows(fam.sorted_masks(), fam.ground)
 
 
 # -- matrix of a generated lattice ----------------------------------------------
 
 
-def _down_matrix(lat: FiniteLattice, cols: tuple[str, ...]) -> BoolMatrix:
-    """Rows L, columns the elements cols; 0 where column <= row."""
-    idx = [lat.index(c) for c in cols]
-    full = (1 << len(idx)) - 1
-    return BoolMatrix.from_masks(
-        tuple(full & ~sum(1 << k for k, i in enumerate(idx) if d >> i & 1) for d in lat.down),
-        cols, lat.labels)
-
-
 def matrix_of(vg: VGenLattice) -> BoolMatrix:
     """The boolean matrix with rows L and columns E; 0 where column <= row."""
-    return _down_matrix(vg.lattice, vg.gens)
+    return _complement_rows(vg._traces, vg.gens, vg.lattice.labels)
 
 
 def full_matrix(lat: FiniteLattice) -> BoolMatrix:
     """Matrix of (L, L minus bottom), used for c-independence of elements."""
-    return _down_matrix(lat, tuple(x for x in lat.labels if x != lat.bottom))
+    cols = tuple(x for x in lat.labels if x != lat.bottom)
+    return _complement_rows(_traces_over(lat, cols), cols, lat.labels)
 
 
 # -- lattice of flats of a matrix ----------------------------------------------
@@ -437,9 +453,9 @@ def full_matrix(lat: FiniteLattice) -> BoolMatrix:
 def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]]]:
     """Intersection closure of the row zero sets, plus the per-column flats.
 
-    The column flat of j is the intersection of all zero sets containing j;
-    it always contains j.  Zero columns are rejected (the empty set would
-    escape the construction).
+    The column flat of j, the family's closure of j, is the intersection of
+    all zero sets containing j; it always contains j.  Zero columns are
+    rejected (the empty set would escape the construction).
     """
     ground = m.col_labels
     full = (1 << len(ground)) - 1
@@ -447,13 +463,11 @@ def flats_of_matrix(m: BoolMatrix) -> tuple[FlatFamily, dict[str, frozenset[str]
     for j, c in enumerate(ground):
         if not any((r >> j) & 1 for r in ones):
             raise ZeroColumn(c)
-    zsets = [full & ~r for r in ones]
-    members = {full}  # the meets of every subset of zsets
-    for z in zsets:
-        members |= {z & w for w in members}
-    cl = closure_op(zsets, full)
-    y = {c: mask_to_labels(cl(1 << j), ground) for j, c in enumerate(ground)}
-    return FlatFamily.from_masks(ground, frozenset(members)), y
+    members = {full}  # the meets of every subset of the zero sets
+    for r in ones:
+        members |= {full & ~r & w for w in members}
+    fam = FlatFamily.from_masks(ground, frozenset(members))
+    return fam, {c: mask_to_labels(fam._closure(1 << j), ground) for j, c in enumerate(ground)}
 
 
 def generated_lattice(fam: FlatFamily) -> VGenLattice:
@@ -640,11 +654,12 @@ def hasse_dot(obj) -> str:
     vg = obj if isinstance(obj, VGenLattice) else None
     lat = vg.lattice if vg else obj
     gens = set(vg.gens) if vg else set()
+    esc = {x: x.translate(DOT_ESCAPES) for x in lat.labels}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for x in lat.labels:
-        text = x + ("*" if x in gens else "")
-        lines.append(f'  "{x}" [label="{text}"];')
+        text = esc[x] + ("*" if x in gens else "")
+        lines.append(f'  "{esc[x]}" [label="{text}"];')
     for a, b in lat.cover_pairs():
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f'  "{esc[a]}" -> "{esc[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from .errors import (
     TopInIdeal,
 )
 from .hereditary import HereditaryCollection, is_boolean_representable
-from .lattice import FiniteLattice, FlatFamily, VGenLattice
+from .lattice import FiniteLattice, FlatFamily, VGenLattice, mask_to_labels
 
 # -- join-preserving maps -----------------------------------------------------------
 
@@ -223,12 +223,12 @@ def congruence_from_family(vg: VGenLattice, family: Iterable[frozenset[str]]
                            ) -> VCongruence:
     """Elements are identified when the same family members lie above them."""
     fam = FlatFamily(vg.gens, family)  # closed under meets, holds the gens
-    lat = vg.lattice
-    zs = {vg.z_of(x) for x in lat.labels}
-    for m in fam.members:
-        if m not in zs:
-            raise NotIntersectionClosed(f"member {sorted(m)} is not a flat")
-    return VCongruence(lat, _blocks_by(lat.labels, lambda x: fam.closure_of(vg.z_of(x))))
+    lat, traces = vg.lattice, vg._traces
+    stray = sorted(fam.masks.difference(traces))
+    if stray:
+        raise NotIntersectionClosed(
+            f"member {sorted(mask_to_labels(stray[0], vg.gens))} is not a flat")
+    return VCongruence(lat, _blocks_by(lat.labels, lambda x: fam._closure(traces[lat.index(x)])))
 
 
 # -- quotients ---------------------------------------------------------------------------
@@ -430,19 +430,13 @@ def compose_steps(phi_steps: Sequence) -> VMap | None:
 # -- strong maps --------------------------------------------------------------------------
 
 
-def _lattice_flats(vg: VGenLattice) -> frozenset[frozenset[str]]:
-    return frozenset(vg.z_of(x) for x in vg.lattice.labels)
-
-
 def is_strong_lattice_map(phi: VMap, src: VGenLattice, tgt: VGenLattice) -> bool:
     """Preimages of target flats (with the bottom adjoined) meet E in flats."""
-    src_flats = _lattice_flats(src)
-    gens = frozenset(src.gens)
+    src_flats = set(src._traces)
     f = phi.mapping
-    for z in _lattice_flats(tgt):
-        zb = set(z) | {tgt.lattice.bottom}
-        pre = frozenset(x for x in src.lattice.labels if f[x] in zb)
-        if pre & gens not in src_flats:
+    for t in tgt._traces:
+        zb = {tgt.lattice.bottom, *mask_to_labels(t, tgt.gens)}
+        if sum(1 << k for k, e in enumerate(src.gens) if f[e] in zb) not in src_flats:
             return False
     return True
 

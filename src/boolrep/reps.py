@@ -35,6 +35,7 @@ from .lattice import (
     FlatFamily,
     VGenLattice,
     _bits,
+    _complement_rows,
     closure_op,
     family_matrix,
     generated_lattice,
@@ -622,7 +623,5 @@ def mindeg(hc: HereditaryCollection,
     for k in range(hc.rank, len(cands) + 1):
         rec(0, 0, 0)
         if found:
-            return k, [BoolMatrix.from_masks(tuple(full & ~z for z in rows), hc.ground,
-                                             tuple(mask_label(z, hc.ground) for z in rows))
-                       for rows in sorted(set(found))]
+            return k, [_complement_rows(rows, hc.ground) for rows in sorted(set(found))]
     raise NotRepresentable("no representing row set found")  # unreachable

@@ -318,6 +318,15 @@ def random_sweep_hc(rng: random.Random, n: int, p: float, add4: bool
         {s for f in quads + triples + pairs for s in _submasks(f)})
 
 
+def sweep_rand_hcs(seed: int, pass_index: int = 0) -> list[HereditaryCollection]:
+    """The 500 collections of one pass of the benchmark's sweep-rand workload
+    (`make_inputs` in bench/worker.py): the same random stream, and the same
+    cycle of sizes, probabilities and 4-subsets."""
+    rng = random.Random(f"sweep-rand:{seed}:{pass_index}")
+    return [random_sweep_hc(rng, (6, 7, 8)[i % 3], (0.5, 0.8, 0.95)[i // 3 % 3],
+                            i // 9 % 10 < 3) for i in range(500)]
+
+
 def random_matroid(rng: random.Random, n: int, attempts: int = 4000
                    ) -> HereditaryCollection:
     """Random simple matroid: uniform, free, or rank-3 with random lines.
@@ -641,6 +650,41 @@ def full_matrix_by_rows(lat: FiniteLattice) -> BoolMatrix:
     cols = tuple(x for x in lat.labels if x != lat.bottom)
     rows = tuple(tuple(0 if lat.leq(c, x) else 1 for c in cols) for x in lat.labels)
     return BoolMatrix(rows, cols, lat.labels)
+
+
+def trace_by_leq(vg: VGenLattice, x: str) -> frozenset:
+    """The generators below x, one `leq` per generator: the oracle for the
+    traces in `VGenLattice._traces`."""
+    return frozenset(g for g in vg.gens if vg.lattice.leq(g, x))
+
+
+def strong_lattice_map_by_labels(phi, src: VGenLattice, tgt: VGenLattice) -> bool:
+    """Preimages of the target's flats, with its bottom adjoined, meet the
+    source's generators in flats, over label sets: the oracle for
+    `maps.is_strong_lattice_map`."""
+    src_flats = {trace_by_leq(src, x) for x in src.lattice.labels}
+    for y in tgt.lattice.labels:
+        zb = trace_by_leq(tgt, y) | {tgt.lattice.bottom}
+        pre = frozenset(x for x in src.lattice.labels if phi.mapping[x] in zb)
+        if pre & frozenset(src.gens) not in src_flats:
+            return False
+    return True
+
+
+def maximal_proper_by_labels(sets: Iterable[frozenset], full: frozenset) -> frozenset:
+    """The maximal sets other than full, by a scan over label sets: the
+    oracle for `FlatFamily.coatom_masks` and `geometry.lattice_hyperplanes`."""
+    proper = [s for s in sets if s != full]
+    return frozenset(s for s in proper if not any(s < t for t in proper))
+
+
+def rank_table_by_masks(hc: HereditaryCollection) -> tuple[int, ...]:
+    """r(X) = |X| for independent X and otherwise the largest r(X - x), mask
+    by mask in increasing order: the oracle for `rank_function`'s subset DP."""
+    r = [0] * (1 << len(hc.ground))
+    for m in range(1, len(r)):
+        r[m] = m.bit_count() if m in hc.h_masks else max(r[m ^ (1 << i)] for i in _bits(m))
+    return tuple(r)
 
 
 def congruent_by_rows(m1: BoolMatrix, m2: BoolMatrix) -> bool:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import boolrep
-from boolrep import errors, hereditary, lattice, reps, sbcore
+from boolrep import errors, geometry, hereditary, lattice, reps, sbcore
 from boolrep.cli import build_parser, main
 from conftest import matrix_from_text_by_rows, matrix_to_text_by_rows, rep_report_by_records, \
     rowsum_closure_by_rows, stack_matrices_by_rows
@@ -260,6 +260,35 @@ class TestGeoMpeg:
                              monkeypatch=monkeypatch)
         assert code == 1
         assert json.loads(out)["error"] == "FormatError"
+
+    @staticmethod
+    def geometry_with(verb, label):
+        """A valid geometry for the verb whose first point is `label`."""
+        if verb == "geo":
+            return {"points": [label, "c", "d", "e"], "lines": [[label, "c"], ["d", "e"]]}
+        return {"ground": [label, "2", "3"],
+                "strata": [[[label], ["2"], ["3"]], [[label, "2"], [label, "3"], ["2", "3"]],
+                           [[label, "2", "3"]]]}
+
+    @pytest.mark.parametrize("label", ["a b", "a\tb", "a<b", ""],
+                             ids=["space", "tab", "less-than", "empty"])
+    @pytest.mark.parametrize("verb", ["geo", "mpeg"])
+    def test_to_lattice_refuses_unwritable_label(self, capsys, monkeypatch, verb, label):
+        # the lattice text reader splits at whitespace and "<", and drops an
+        # empty label: refused by name, with nothing written
+        code, out = run_main(capsys, [verb, "--to-lattice"],
+                             stdin_text=json.dumps(self.geometry_with(verb, label)),
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "FormatError",
+            "detail": f"label {label!r} cannot be written in the lattice text format"}
+        # the same geometry with a plain label is written, and reads back
+        code, out = run_main(capsys, [verb, "--to-lattice"],
+                             stdin_text=json.dumps(self.geometry_with(verb, "x")),
+                             monkeypatch=monkeypatch)
+        assert code == 0
+        assert "x" in lattice.lattice_from_text(out).gens[0]
 
 
     @pytest.mark.parametrize("args,text", [
@@ -524,6 +553,63 @@ class TestErrorsAndCodes:
         assert json.loads(out)["error"] == "FormatError"
 
 
+# a quoted DOT string: inside it, a quote or a backslash comes escaped
+DOT_STRING = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
+def dot_strings(dot: str) -> set[str]:
+    """The quoted strings of a DOT text, unescaped; no quote may be left
+    outside one, as an unescaped quote inside a label would be."""
+    assert '"' not in DOT_STRING.sub("", dot)
+    return {re.sub(r"\\(.)", r"\1", q) for q in DOT_STRING.findall(dot)}
+
+
+class TestDotLabels:
+    LABELS = ['a"b', "c\\d", "e"]
+
+    def test_flats_dot_escapes_labels(self, tmp_path, capsys, monkeypatch):
+        dot = tmp_path / "h.dot"
+        hc = hereditary.HereditaryCollection.from_facets(self.LABELS, [self.LABELS])
+        code, _ = run_main(capsys, ["--dot", str(dot), "flats"],
+                           stdin_text=hereditary.hc_to_json(hc), monkeypatch=monkeypatch)
+        assert code == 0
+        vg = hereditary.flat_lattice(hc)  # each ids a node and labels it, gens with *
+        assert '{a"b}' in vg.lattice.labels and "{c\\d}" in vg.gens
+        assert dot_strings(dot.read_text()) == {*vg.lattice.labels, *(g + "*" for g in vg.gens)}
+
+    def test_geo_dot_escapes_labels(self, tmp_path, capsys, monkeypatch):
+        a, c, e = self.LABELS
+        covers = [("o", a), ("o", c), ("o", e), (a, "x"), (a, "y"), (c, "x"), (c, "z"),
+                  (e, "y"), (e, "z"), ("x", "T"), ("y", "T"), ("z", "T")]
+        text = ("elements: o " + " ".join(self.LABELS) + " x y z T\n"
+                + "".join(f"covers: {p} < {q}\n" for p, q in covers)
+                + "gens: " + " ".join(self.LABELS) + "\n")
+        dot = tmp_path / "g.dot"
+        code, _ = run_main(capsys, ["--dot", str(dot), "geo"], stdin_text=text,
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        lines = ['{a"b,c\\d}', '{a"b,e}', "{c\\d,e}"]  # the points' order
+        assert dot_strings(dot.read_text()) == {*self.LABELS, "L0", "L1", "L2", *lines}
+
+    def test_plain_labels_unchanged(self):
+        # labels without a quote or a backslash are written as they were
+        diamond = lattice.lattice_from_covers(
+            ["B", "a", "b", "T"], [("B", "a"), ("B", "b"), ("a", "T"), ("b", "T")])
+        assert lattice.hasse_dot(lattice.VGenLattice(diamond, ("a", "b"))) == (
+            'digraph lattice {\n  rankdir=BT;\n  node [shape=plaintext];\n'
+            '  "B" [label="B"];\n  "a" [label="a*"];\n  "b" [label="b*"];\n'
+            '  "T" [label="T"];\n  "B" -> "a";\n  "B" -> "b";\n  "a" -> "T";\n'
+            '  "b" -> "T";\n}\n')
+        peg = geometry.PEG(("1", "2", "3", "4"),
+                           frozenset(map(frozenset, ("12", "34", "13"))))
+        assert geometry.peg_dot(peg) == (
+            'graph geometry {\n  node [shape=circle]; "1" "2" "3" "4";\n'
+            '  "L0" [shape=box, label="{1,2}"];\n  "L1" [shape=box, label="{1,3}"];\n'
+            '  "L2" [shape=box, label="{3,4}"];\n  { rank=same; "L0" "L1" "L2" }\n'
+            '  "L0" -- "1";\n  "L0" -- "2";\n  "L1" -- "1";\n  "L1" -- "3";\n'
+            '  "L2" -- "3";\n  "L2" -- "4";\n}\n')
+
+
 REPORT_INPUTS = {"bigex": hereditary.example_bigex, "fano": hereditary.fano,
                  "u35": lambda: hereditary.uniform(3, 5),
                  "u36": lambda: hereditary.uniform(3, 6),
@@ -586,16 +672,27 @@ class TestRepReport:
         assert max(sizes) <= largest
 
     def test_builds_no_record_or_matrix_text(self, monkeypatch, capsys, hc_path):
+        # no record and no matrix text per family: one text per report, of
+        # the flats' own family_matrix, gives every `row:` line
         def refuse(*args):
-            raise RuntimeError("a record or its matrix text was built")
+            raise RuntimeError("a record or its matrix was built")
+
+        texts = []
+        to_text = sbcore.BoolMatrix.to_text
+
+        def counted(m):
+            texts.append(m.row_labels)
+            return to_text(m)
 
         monkeypatch.setattr(reps.RepresentationLattice, "record", refuse)
         monkeypatch.setattr(reps.RepRecord, "matrix", property(refuse))
-        monkeypatch.setattr(sbcore.BoolMatrix, "to_text", refuse)
+        monkeypatch.setattr(sbcore.BoolMatrix, "to_text", counted)
         path = hc_path("u36")
+        flats = lattice.family_matrix(hereditary.uniform(3, 6).flats()).row_labels
         for verb, count in (("sji-reps", 442), ("minimal-reps", 226)):
             assert main([verb, path]) == 0
             assert len(json.loads(capsys.readouterr().out)["families"]) == count
+        assert texts == [flats, flats]
 
     @pytest.mark.parametrize("name", ["bigex", "fano", "u36"])
     def test_builds_no_frozenset_family(self, monkeypatch, capsys, hc_path, name):
@@ -966,14 +1063,17 @@ def lattice_case(draw):
 @st.composite
 def geo_json_case(draw):
     """(text, fault) for `geo --to-lattice` or `mpeg --to-lattice`: a
-    random geometry over up to five points, a repeated point label, or one
-    whose lattice would exceed CAP elements."""
+    random geometry over up to five points, a repeated point label, a label
+    the lattice text format cannot carry, or one whose lattice would exceed
+    CAP elements."""
     verb = draw(st.sampled_from(["geo", "mpeg"]))
-    fault = draw(st.sampled_from(["", "", "dup", "big"]))
+    fault = draw(st.sampled_from(["", "", "dup", "big", "label"]))
     n = CAP + 1 if fault == "big" else draw(st.integers(1, 5))
     points = [str(i + 1) for i in range(n)]
     if fault == "dup":
         points.append(points[0])
+    elif fault == "label":
+        points[0] = draw(st.sampled_from(["", "a b", "a\nb", "<", "a<b"]))
     subsets = draw(st.lists(st.lists(st.sampled_from(points[:5]), min_size=2, max_size=4),
                             max_size=4))
     if verb == "geo":
@@ -1017,7 +1117,7 @@ def map_case(draw):
 
 def assert_contract(argv, stdin_text=""):
     """Run main; the exit code is 0 or 1, exit 1 prints one error object, and
-    no lattice over CAP elements is built.  Returns (code, error name)."""
+    no lattice over CAP elements is built.  Returns (code, error name, stdout)."""
     sizes = []
     init = lattice.FiniteLattice.__init__
 
@@ -1042,11 +1142,11 @@ def assert_contract(argv, stdin_text=""):
     assert "Traceback" not in err.getvalue()
     assert max(sizes, default=0) <= CAP
     if code == 0:
-        return code, None
+        return code, None, out.getvalue()
     obj = json.loads(out.getvalue())
     assert set(obj) == {"error", "detail"}
     assert issubclass(getattr(errors, obj["error"]), errors.BoolrepError)
-    return code, obj["error"]
+    return code, obj["error"], out.getvalue()
 
 
 # the error a fault of lattice_case raises while its text is parsed
@@ -1059,7 +1159,7 @@ class TestLatticeContractFuzz:
     @given(verb=st.sampled_from(["geo", "mpeg"]), case=lattice_case())
     def test_lattice_text(self, verb, case):
         text, _, fault = case
-        code, error = assert_contract([verb], text)
+        code, error, _ = assert_contract([verb], text)
         if fault in PARSE_ERROR:
             assert error == PARSE_ERROR[fault]
         elif fault == "gens" or (fault == "nogens" and verb == "geo"):
@@ -1071,11 +1171,18 @@ class TestLatticeContractFuzz:
     @example(case=("mpeg", '{"ground": [%s], "strata": []}' % BIG_INT, ""))
     def test_geometry_json(self, case):
         verb, text, fault = case
-        code, error = assert_contract([verb, "--to-lattice"], text)
+        code, error, out = assert_contract([verb, "--to-lattice"], text)
         if fault == "big":
             assert error == "TooLarge"
-        elif fault == "dup":
+        elif fault in ("dup", "label"):
             assert error == "FormatError"
+        if code == 0:  # the text written reads back as the lattice built
+            vg = (geometry.lat_of_peg(geometry.peg_from_json(text)) if verb == "geo"
+                  else geometry.lattice_of_mpeg(geometry.mpeg_from_json(text)))
+            back = lattice.lattice_from_text(out)
+            assert back.lattice.labels == vg.lattice.labels
+            assert back.lattice.cover_pairs() == vg.lattice.cover_pairs()
+            assert back.gens == vg.gens
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=map_case())
@@ -1089,8 +1196,8 @@ class TestLatticeContractFuzz:
         for name, body in (("src.txt", src), ("tgt.txt", tgt), ("map.txt", text)):
             paths.append(tmp_path_factory.getbasetemp() / name)
             paths[-1].write_text(body)
-        code, error = assert_contract(["maps-factorize", "--source", str(paths[0]),
-                                       "--target", str(paths[1]), "--map", str(paths[2])])
+        code, error, _ = assert_contract(["maps-factorize", "--source", str(paths[0]),
+                                          "--target", str(paths[1]), "--map", str(paths[2])])
         if lattice_fault in PARSE_ERROR:
             assert error == PARSE_ERROR[lattice_fault]
         elif lattice_fault == "gens":

@@ -36,7 +36,7 @@ from boolrep.hereditary import (
     uniform,
     union_hc,
 )
-from boolrep.lattice import matrix_of
+from boolrep.lattice import family_matrix, matrix_of
 from boolrep.sbcore import columns_independent
 from conftest import (
     all_hcs,
@@ -46,12 +46,16 @@ from conftest import (
     closure_ordering,
     flat_masks_by_circuits,
     fs,
+    family_matrix_by_rows,
     full_sweep_fails,
     is_flat_by_circuits,
+    maximal_proper_by_labels,
     random_hc,
     random_simple_hc,
     random_sweep_hc,
     rank3_union_representable_hypothesis,
+    rank_table_by_masks,
+    sweep_rand_hcs,
 )
 
 
@@ -298,6 +302,22 @@ class TestRank:
             fs(*l) for l in (("1", "2", "5"), ("1", "3", "7"), ("1", "4", "6"),
                              ("2", "3", "6"), ("2", "4", "7"), ("3", "4", "5"),
                              ("5", "6", "7"))}
+
+    @pytest.mark.parametrize("hc", [uniform(3, 6), fano(), example_bigex(), example_truno(),
+                                    uniform(0, 3), HereditaryCollection((), [()])],
+                             ids=["u36", "fano", "bigex", "truno", "u03", "empty-ground"])
+    def test_table_matches_per_mask_dp(self, hc):
+        assert rank_function(hc).table == rank_table_by_masks(hc)
+
+    def test_owners_match_oracles_on_sweep_rand(self):
+        # the benchmark's sweep-rand collections (seed 7, pass 0): the rank
+        # table, the hyperplanes (the flats' maximal proper members) and the
+        # flat matrix, each against the construction it replaced
+        for hc in sweep_rand_hcs(7):
+            fam = hc.flats()
+            assert rank_function(hc).table == rank_table_by_masks(hc)
+            assert hyperplanes(hc) == maximal_proper_by_labels(fam.members, frozenset(hc.ground))
+            assert family_matrix(fam) == family_matrix_by_rows(fam)
 
     def test_subadditivity_always(self):
         rng = random.Random(61)

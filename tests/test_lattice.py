@@ -32,16 +32,22 @@ from boolrep.lattice import (
     matrix_of,
     vgen_isomorphic,
 )
+from boolrep.geometry import lattice_hyperplanes
 from boolrep.sbcore import BoolMatrix, columns_independent, matrix_rank
 from conftest import (
     all_lattice_masks,
     all_lattices,
+    all_vgens,
     c_independence_chain_by_search,
     down_sets_by_reachability,
     fs,
+    full_matrix_by_rows,
     lattices_up_to,
+    matrix_of_by_rows,
+    maximal_proper_by_labels,
     random_vgen,
     sorted_members,
+    trace_by_leq,
 )
 
 
@@ -290,6 +296,35 @@ class TestMatrixOf:
             rowset = set(m.rows)
             for r, s in itertools.combinations(rowset, 2):
                 assert tuple(a | b for a, b in zip(r, s)) in rowset
+
+
+class TestTraceOwners:
+    """The generated lattice's traces, its matrices and its hyperplanes
+    against the constructions they replaced: every generating set of every
+    lattice of two to six elements, then random generated lattices."""
+
+    @staticmethod
+    def vgens():
+        for lat in lattices_up_to(6):
+            yield from all_vgens(lat)
+        rng = random.Random(3030)
+        for _ in range(40):
+            yield random_vgen(rng)
+
+    def test_owners_match_oracles(self):
+        for vg in self.vgens():
+            lat = vg.lattice
+            traces = {x: trace_by_leq(vg, x) for x in lat.labels}
+            assert {x: vg.z_of(x) for x in lat.labels} == traces
+            assert matrix_of(vg) == matrix_of_by_rows(vg)
+            assert full_matrix(lat) == full_matrix_by_rows(lat)
+            assert lattice_hyperplanes(vg) == maximal_proper_by_labels(
+                traces.values(), frozenset(vg.gens))
+
+    def test_full_matrix_of_one_element(self):
+        (lat,) = all_lattices(1)
+        assert full_matrix(lat) == full_matrix_by_rows(lat)
+        assert full_matrix(lat).ones_masks == (0,)
 
 
 class TestFlatsOfMatrix:

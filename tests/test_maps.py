@@ -56,6 +56,7 @@ from conftest import (
     quotient_by_pair_scan,
     random_vgen,
     raw_subsemilattice_relation_transitive,
+    strong_lattice_map_by_labels,
 )
 
 
@@ -156,6 +157,21 @@ class TestVMap:
                 if proj.target_gens:
                     tgt = VGenLattice(q, proj.target_gens)
                     assert is_strong_lattice_map(proj, vg, tgt)
+
+    def test_strong_map_matches_label_scan(self):
+        # total maps, join maps or not, that send each element to the
+        # bottom or to a random element: strong ones and others
+        rng = random.Random(1718)
+        outcomes = set()
+        for _ in range(200):
+            src, tgt = (random_vgen(rng, universe=3, seeds=3) for _ in range(2))
+            phi = VMap(src.lattice, tgt.lattice, {
+                x: rng.choice((tgt.lattice.bottom, *tgt.lattice.labels))
+                for x in src.lattice.labels})
+            got = is_strong_lattice_map(phi, src, tgt)
+            assert got == strong_lattice_map_by_labels(phi, src, tgt)
+            outcomes.add(got)
+        assert outcomes == {True, False}
 
     def test_text_round_trip(self):
         lat = diamond()
