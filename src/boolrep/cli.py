@@ -55,6 +55,14 @@ def _subsets_sorted(hc, masks) -> list[list[str]]:
             for m in sorted(masks, key=lattice.mask_order)]
 
 
+def _check_labels(labels, text_format: str, separator: str = "") -> None:
+    """Refuse, before anything is written, a label that the reader of a text
+    format would drop (empty) or split (at whitespace or the separator)."""
+    for x in labels:
+        if x.split() != [x] or separator and separator in x:
+            raise FormatError(f"label {x!r} cannot be written in the {text_format} text format")
+
+
 def _emit(args, payload: dict, table_lines=None) -> None:
     if args.format == "table" and table_lines is not None:
         print("\n".join(table_lines))
@@ -164,6 +172,8 @@ def _raw_counts(walk: reps.RepresentationLattice) -> tuple[int, int]:
 
 def _rep_report(args, which: str) -> int:
     hc = _load_hc(args.input)
+    if args.format != "table":  # the table prints no matrix
+        _check_labels(hc.ground, "matrix")
     walk = reps.RepresentationLattice(hc, max_nontrivial=args.max_flats)
     chosen = walk.sorted_keys(0 if which == "minimal" else 1)
     flats, nchildren = walk.flats, walk.nchildren
@@ -222,6 +232,7 @@ def cmd_sji_reps(args) -> int:
 
 def cmd_mindeg(args) -> int:
     hc = _load_hc(args.input)
+    _check_labels(hc.ground, "matrix")
     k, witnesses = reps.mindeg(hc)
     witness = witnesses[0].to_text().rstrip("\n").split("\n")
     _emit(args, {"mindeg": k, "witness": witness}, [f"mindeg: {k}", *witness])
@@ -245,11 +256,8 @@ def cmd_truncate(args) -> int:
 
 
 def _write_lattice(build, g, labels) -> int:
-    """Write build(g) in the lattice text format.  A label that the format's
-    reader would drop (empty) or split (whitespace, "<") is refused first."""
-    for x in labels:
-        if x.split() != [x] or "<" in x:
-            raise FormatError(f"label {x!r} cannot be written in the lattice text format")
+    """Write build(g) in the lattice text format, whose reader also splits at "<"."""
+    _check_labels(labels, "lattice", "<")
     sys.stdout.write(lattice.lattice_to_text(build(g)))
     return 0
 

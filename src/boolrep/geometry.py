@@ -149,8 +149,6 @@ def lat_of_peg(g: PEG) -> VGenLattice:
     while top in g.points:
         top += "_"
     elements = (bot, *g.points, *map(label.__getitem__, lines), top)
-    if len(set(elements)) != len(elements):
-        raise FormatError("duplicate element labels")
     index = {x: i for i, x in enumerate(elements)}
     first = 1 + len(g.points)  # the first line's index
     down = (1, *(1 | 1 << i for i in range(1, first)),

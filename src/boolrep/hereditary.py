@@ -511,12 +511,6 @@ class RepresentabilityResult:
     holds: bool
     counterexample: frozenset[str] | None  # an independent set with no ordering
 
-    # written out, not the record's generic one: `represents` builds one per
-    # call, over 10^5 times per enumeration of U(3,6)
-    def __init__(self, holds: bool, counterexample: frozenset[str] | None) -> None:
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "counterexample", counterexample)
-
     def __bool__(self) -> bool:
         return self.holds
 
@@ -550,9 +544,7 @@ def boolean_representability(hc: HereditaryCollection) -> RepresentabilityResult
     if not hc.is_simple():
         raise NotSimple("representability is defined here for simple collections")
     bad = hc._chain_failure
-    if bad is None:
-        return RepresentabilityResult(True, None)
-    return RepresentabilityResult(False, hc.set_of(bad))
+    return RepresentabilityResult(bad is None, None if bad is None else hc.set_of(bad))
 
 
 def is_boolean_representable(hc: HereditaryCollection) -> bool:
@@ -608,16 +600,15 @@ def is_paving(hc: HereditaryCollection) -> bool:
 
 
 def paving_representable(hc: HereditaryCollection) -> bool:
-    """Rank-size independents must shed a point outside the rest's closure.
-
-    Meaningful (provably equal to representability) for paving collections.
+    """The chain test on the rank-size independents alone: each must shed a
+    point outside the rest's closure.  Meaningful (provably equal to
+    representability) for paving collections.
     """
     r = hc.rank
     if r <= 2:
         raise RankTooSmall(f"paving semantics need rank > 2, got {r}")
-    cl = hc.flats()._closure
-    return all(any(not cl(s ^ (1 << x)) >> x & 1 for x in _bits(s))
-               for s in hc.h_masks if s.bit_count() == r)
+    return _chain_admissible([s for s in hc.h_masks if s.bit_count() == r],
+                             hc.flats()._closure) is None
 
 
 # -- JSON ------------------------------------------------------------------------

@@ -69,12 +69,14 @@ class FiniteLattice:
     """
 
     def __init__(self, labels: tuple[str, ...], down: tuple[int, ...]) -> None:
-        """Validate: a top exists and every pair of down-sets meets in one."""
+        """Validate: distinct labels, a top, and every pair of down-sets meets in one."""
         n = len(labels)
         if n == 0:
             raise NotALattice("empty element set")
         self.labels = labels
         self._index = {l: i for i, l in enumerate(labels)}
+        if len(self._index) != n:
+            raise FormatError("duplicate element labels")
         self.down = down
         self._by_down = {d: i for i, d in enumerate(down)}
         full = (1 << n) - 1

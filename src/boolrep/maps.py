@@ -30,7 +30,7 @@ from .errors import (
     NotSurjective,
     TopInIdeal,
 )
-from .hereditary import HereditaryCollection, is_boolean_representable
+from .hereditary import HereditaryCollection
 from .lattice import FiniteLattice, FlatFamily, VGenLattice, mask_to_labels
 
 # -- join-preserving maps -----------------------------------------------------------
@@ -463,7 +463,7 @@ def hc_strong_map(phi: Mapping[str, str], a: HereditaryCollection,
     for hc in (a, b):
         if not hc.is_simple():
             raise NotSimple("strong maps are defined between simple collections")
-        if not is_boolean_representable(hc):
+        if hc._chain_failure is not None:
             raise NotRepresentable("strong maps need representable collections")
     for e in a.ground:
         if phi[e] not in b._gidx:

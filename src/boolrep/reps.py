@@ -29,7 +29,6 @@ from .hereditary import (
     _chain_admissible,
     _image_tables,
     _orbits,
-    is_boolean_representable,
 )
 from .lattice import (
     FlatFamily,
@@ -82,7 +81,7 @@ def represents(hc: HereditaryCollection, fam: FlatFamily) -> bool:
     """Membership of fam in the image of the representation correspondence."""
     if not hc.is_simple():
         raise NotSimple("representation theory needs a simple collection")
-    if not is_boolean_representable(hc):
+    if hc._chain_failure is not None:
         raise NotRepresentable("the collection has no boolean representation")
     return _represents_masks(hc, check_full_subsemilattice(hc, fam))
 

@@ -492,6 +492,17 @@ def transpose(m: BoolMatrix) -> BoolMatrix:
     )
 
 
+def permuted_matrix(m: BoolMatrix, rng: random.Random) -> BoolMatrix:
+    """m with its rows and its columns each in a random order; every row and
+    column keeps its label, and auto-labelled rows stay auto-labelled."""
+    rows = rng.sample(range(m.n_rows), m.n_rows)
+    cols = rng.sample(range(m.n_cols), m.n_cols)
+    auto = m.row_labels == tuple(f"r{i}" for i in range(m.n_rows))
+    return BoolMatrix.build([[m.rows[i][j] for j in cols] for i in rows],
+                            col_labels=[m.col_labels[j] for j in cols],
+                            row_labels=None if auto else [m.row_labels[i] for i in rows])
+
+
 def matrix_rank_top_down(m: BoolMatrix) -> int:
     """Maximum size of an independent column subset.
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -19,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 import boolrep
 from boolrep import errors, geometry, hereditary, lattice, reps, sbcore
 from boolrep.cli import build_parser, main
-from conftest import matrix_from_text_by_rows, matrix_to_text_by_rows, rep_report_by_records, \
-    rowsum_closure_by_rows, stack_matrices_by_rows
+from conftest import matrix_from_text_by_rows, matrix_to_text_by_rows, random_sweep_hc, \
+    rep_report_by_records, rowsum_closure_by_rows, stack_matrices_by_rows
 
 # the child process imports boolrep from where this process found it
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(boolrep.__file__)))
@@ -734,6 +735,122 @@ class TestRepReport:
         assert lines[0] == "sji representations: 9" and len(lines) == 10
 
 
+def all_pairs_json(ground):
+    """A simple, representable rank-2 collection: every pair a facet."""
+    return json.dumps({"ground": ground,
+                       "facets": [list(p) for p in itertools.combinations(ground, 2)]})
+
+
+class TestMatrixLabels:
+    """The matrix text reader splits at whitespace and drops an empty label,
+    so a verb that prints matrix text refuses such a ground label by name,
+    with nothing written; the table reports print no matrix."""
+
+    @pytest.mark.parametrize("label", ["a b", "a\tb", ""], ids=["space", "tab", "empty"])
+    @pytest.mark.parametrize("argv", [
+        ["mindeg"], ["--format", "table", "mindeg"], ["minimal-reps"], ["sji-reps"]],
+        ids=["mindeg-json", "mindeg-table", "minimal-reps-json", "sji-reps-json"])
+    def test_refused(self, capsys, monkeypatch, argv, label):
+        code, out = run_main(capsys, argv, all_pairs_json([label, "c", "d"]), monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "FormatError",
+            "detail": f"label {label!r} cannot be written in the matrix text format"}
+
+    @pytest.mark.parametrize("argv", [
+        ["mindeg"], ["--format", "table", "mindeg"], ["minimal-reps"], ["sji-reps"]])
+    def test_plain_labels_read_back(self, capsys, monkeypatch, argv):
+        code, out = run_main(capsys, argv, all_pairs_json(["a_b", "c", "d"]), monkeypatch)
+        assert code == 0
+        if argv[0] == "--format":  # "mindeg: k", then the matrix text
+            texts = [out.split("\n", 1)[1]]
+        elif argv == ["mindeg"]:
+            texts = ["\n".join(json.loads(out)["witness"])]
+        else:
+            texts = ["\n".join(f["matrix"]) for f in json.loads(out)["families"]]
+        for text in texts:
+            assert sbcore.BoolMatrix.from_text(text).col_labels == ("a_b", "c", "d")
+
+    @pytest.mark.parametrize("verb", ["minimal-reps", "sji-reps"])
+    def test_table_reports_unchanged(self, capsys, monkeypatch, verb):
+        code, out = run_main(capsys, ["--format", "table", verb],
+                             all_pairs_json(["a b", "c", "d"]), monkeypatch)
+        assert code == 0
+        assert out.splitlines()[1] == "  {}; {a b}; {c}; {a b,c,d}"
+
+
+# inputs whose lattice would label two elements alike: the point "2,3" and the
+# pair {2, 3} are both "{2,3}", the point "a,b" and the pair {a, b} both "{a,b}"
+COLLIDING_MPEG = json.dumps({"ground": ["2,3", "2", "3"],
+                             "strata": [[["2,3"], ["2"], ["3"]],
+                                        [["2", "3"], ["2,3", "2"], ["2,3", "3"]],
+                                        [["2,3", "2", "3"]]]})
+COLLIDING_FLATS = json.dumps({"ground": ["a", "b", "a,b"], "facets": [["a", "b", "a,b"]]})
+DUPLICATE_LABELS = {"error": "FormatError", "detail": "duplicate element labels"}
+
+
+class TestLabelCollisions:
+    def test_mpeg_to_lattice(self, capsys, monkeypatch):
+        code, out = run_main(capsys, ["mpeg", "--to-lattice"], COLLIDING_MPEG, monkeypatch)
+        assert (code, json.loads(out)) == (1, DUPLICATE_LABELS)
+
+    def test_flats_dot(self, capsys, monkeypatch, tmp_path):
+        dot = tmp_path / "x.dot"
+        code, out = run_main(capsys, ["--dot", str(dot), "flats"], COLLIDING_FLATS,
+                             monkeypatch)
+        assert (code, json.loads(out)) == (1, DUPLICATE_LABELS)
+        assert not dot.exists()
+
+
+class TestRenaming:
+    """Renaming the ground labels by a bijection, and repeating and
+    shuffling the facets of the JSON, leave every answer the same once its
+    labels are mapped back (a seeded slice of the metamorphic checks)."""
+
+    VERBS = ("flats", "circuits", "rank", "check-repr", "mindeg")
+    NAMES = ("z", "y9", "10", "2", "Ω", "x_y", "m-n", "a", "q\"", "b\\s")
+
+    @staticmethod
+    def answer(capsys, monkeypatch, verb, text, back):
+        code, out = run_main(capsys, [verb], text, monkeypatch)
+        payload = json.loads(out)
+        if code == 0 and verb == "mindeg":  # labels inside the rows' text
+            m = sbcore.BoolMatrix.from_text("\n".join(payload.pop("witness")))
+            payload["witness"] = ([back.get(c, c) for c in m.col_labels], m.ones_masks)
+
+        def mapped(x):
+            if isinstance(x, str):
+                return back.get(x, x)
+            if isinstance(x, list):
+                return [mapped(y) for y in x]
+            if isinstance(x, dict):
+                return {k: mapped(v) for k, v in x.items()}
+            return x
+
+        payload = mapped(payload)
+        if payload.get("counterexample"):  # listed in label order
+            payload["counterexample"] = sorted(payload["counterexample"])
+        return code, payload
+
+    def test_renamed_ground_and_repeated_facets(self, capsys, monkeypatch):
+        rng = random.Random(31)
+        hcs = [hereditary.fano(), hereditary.example_bigex(), hereditary.uniform(3, 6),
+               hereditary.union_hc(*hereditary.example_unio()), hereditary.example_truno(),
+               hereditary.uniform(1, 3)]
+        hcs += [random_sweep_hc(rng, rng.randint(5, 7), 0.8, rng.random() < 0.5)
+                for _ in range(10)]
+        for hc in hcs:
+            names = rng.sample(self.NAMES, len(hc.ground))
+            back = dict(zip(names, hc.ground))
+            facets = [rng.sample([names[i] for i in lattice._bits(f)], f.bit_count())
+                      for f in sorted(hc._facet_masks) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(facets)
+            renamed = json.dumps({"ground": names, "facets": facets})
+            for verb in self.VERBS:
+                assert self.answer(capsys, monkeypatch, verb, renamed, back) == \
+                    self.answer(capsys, monkeypatch, verb, hereditary.hc_to_json(hc), {})
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_exits_1(self, tmp_path):
         # like `boolrep sji-reps u36.json | head -c 10`: the report is larger
@@ -912,6 +1029,7 @@ class TestCollectionContractFuzz:
     @given(verb=st.sampled_from(COLLECTION_VERBS), case=collection_json())
     @example(verb=["flats"], case=(DEEP_JSON, False))
     @example(verb=["sji-reps"], case=('{"ground": [%s], "facets": []}' % BIG_INT, False))
+    @example(verb=["--dot", os.devnull, "flats"], case=(COLLIDING_FLATS, False))
     def test_exit_code_and_error_object(self, verb, case):
         text, outside = case
         out = io.StringIO()
@@ -1169,6 +1287,7 @@ class TestLatticeContractFuzz:
     @given(case=geo_json_case())
     @example(case=("geo", DEEP_JSON, ""))
     @example(case=("mpeg", '{"ground": [%s], "strata": []}' % BIG_INT, ""))
+    @example(case=("mpeg", COLLIDING_MPEG, "collide"))
     def test_geometry_json(self, case):
         verb, text, fault = case
         code, error, out = assert_contract([verb, "--to-lattice"], text)
@@ -1176,6 +1295,8 @@ class TestLatticeContractFuzz:
             assert error == "TooLarge"
         elif fault in ("dup", "label"):
             assert error == "FormatError"
+        elif fault == "collide":
+            assert json.loads(out) == DUPLICATE_LABELS
         if code == 0:  # the text written reads back as the lattice built
             vg = (geometry.lat_of_peg(geometry.peg_from_json(text)) if verb == "geo"
                   else geometry.lattice_of_mpeg(geometry.mpeg_from_json(text)))

@@ -96,6 +96,15 @@ class TestConstruction:
         with pytest.raises(NotALattice):
             VGenLattice(l, ())
 
+    def test_duplicate_labels_rejected(self):
+        # the constructor owns label uniqueness, whichever builder calls it:
+        # here a chain of two elements, and from_family over a ground whose
+        # labels make the point {"a,b"} and the pair {a, b} both "{a,b}"
+        with pytest.raises(FormatError, match="^duplicate element labels$"):
+            FiniteLattice(("a", "a"), (1, 3))
+        with pytest.raises(FormatError, match="^duplicate element labels$"):
+            FiniteLattice.from_family(("a", "b", "a,b"), (0, 1, 2, 3, 4, 7))
+
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
             lattice_from_covers(["a", "b"], [("a", "b"), ("b", "a")])

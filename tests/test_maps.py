@@ -14,10 +14,13 @@ from boolrep.errors import (
     NotInjective,
     NotIntersectionClosed,
     NotJoinClosed,
+    NotRepresentable,
+    NotSimple,
     NotSurjective,
     TopInIdeal,
 )
-from boolrep.hereditary import HereditaryCollection, example_bigex, flat_lattice, uniform
+from boolrep.hereditary import HereditaryCollection, example_bigex, example_unio, \
+    flat_lattice, union_hc, uniform
 from boolrep.lattice import (
     VGenLattice,
     lattice_from_covers,
@@ -618,6 +621,18 @@ class TestHcMaps:
         ident = {e: e for e in hc.ground}
         assert hc_strong_map(ident, hc, hc)
         assert hc_weak_map(ident, hc, hc)
+
+    def test_refusals(self):
+        # a non-simple or non-representable collection is refused on either side
+        bad = [(uniform(1, 3), NotSimple, "^strong maps are defined between simple collections$"),
+               (union_hc(*example_unio()), NotRepresentable,
+                "^strong maps need representable collections$")]
+        good = uniform(3, 4)
+        for hc, error, message in bad:
+            for a, b in ((hc, good), (good, hc)):
+                phi = dict(zip(a.ground, itertools.cycle(b.ground)))
+                with pytest.raises(error, match=message):
+                    hc_strong_map(phi, a, b)
 
     def test_two_point_target(self):
         ground = ("1", "2")

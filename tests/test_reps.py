@@ -57,6 +57,7 @@ from conftest import (
     fs,
     min_smi_degree,
     mindeg_unbounded,
+    permuted_matrix,
     random_simple_hc,
     random_sweep_hc,
     reduced_matrix,
@@ -108,14 +109,39 @@ class TestRepresents:
     def test_not_representable_rejected(self):
         u = union_hc(*example_unio())
         for _ in range(2):  # the second call reads the cached result
-            with pytest.raises(NotRepresentable):
+            with pytest.raises(NotRepresentable,
+                               match="^the collection has no boolean representation$"):
                 represents(u, u.flats())
 
     def test_not_simple_rejected(self):
         hc = uniform(1, 3)
         for _ in range(2):
-            with pytest.raises(NotSimple):
+            with pytest.raises(NotSimple,
+                               match="^representation theory needs a simple collection$"):
                 represents(hc, hc.flats())
+
+    def test_reads_the_collections_chain_test(self, monkeypatch):
+        # the collection's representability is its cached chain test: no
+        # call builds a RepresentabilityResult, and each tests simplicity once
+        def refuse(hc):
+            raise RuntimeError("represents re-derived the collection's representability")
+
+        monkeypatch.setattr(hereditary, "boolean_representability", refuse)
+        monkeypatch.setattr(hereditary, "is_boolean_representable", refuse)
+        monkeypatch.setattr(reps, "is_boolean_representable", refuse, raising=False)
+        hc = uniform(3, 6)
+        families = list(enumerate_fisfl(hc))
+        simple = HereditaryCollection.is_simple
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return simple(self)
+
+        monkeypatch.setattr(HereditaryCollection, "is_simple", counted)
+        accepted = sum(represents(hc, f) for f in families)
+        assert (len(families), accepted) == (111_820, 6_275)
+        assert len(calls) == len(families)
 
     def test_membership_matches_matrix_test(self):
         # family membership agrees with the literal witness test on its matrix
@@ -1131,6 +1157,23 @@ class TestTuranRows:
         assert not _leaf_ok(hc, self.turan_rows(5))
         assert mindeg(hc)[0] == 5 == (5 - 1) ** 2 // 4 + 1
 
+    @pytest.mark.parametrize("n, k, count", [(5, 4, 125), (6, 6, 30), (7, 12, None)])
+    def test_rank4_rows_are_a_turan_system(self, n, k, count):
+        # in U(4,n) a 4-set is witnessed only by a triple inside it, so the
+        # triples of a representing matrix meet every 4-set: mindeg(U(4,n))
+        # is at least the Turan number T(n,4,3) (3, 6 and 12 for n = 5..7).
+        # Every witness for n = 5, 6; the returned one for n = 7
+        hc = uniform(4, n)
+        got, witnesses = mindeg(hc, enumerate_all=count is not None)
+        assert got == k
+        if count is not None:
+            assert len(witnesses) == count
+        quads = [sum(1 << i for i in q) for q in itertools.combinations(range(n), 4)]
+        for w in witnesses:
+            zeros = [hc.full_mask & ~r for r in w.ones_masks]
+            assert all(z.bit_count() == 3 for z in zeros)
+            assert all(any(z & q == z for z in zeros) for q in quads)
+
 
 class TestRelabelling:
     """Answers that must not depend on the ground order or the facet order
@@ -1164,6 +1207,23 @@ class TestRelabelling:
             relabelled = HereditaryCollection.from_facets(ground, facets)
             assert relabelled.independents == hc.independents
             assert self.answers(relabelled) == self.answers(hc)
+
+    def test_matrix_row_and_column_order(self):
+        # a permuted matrix against the collection over its permuted ground:
+        # the flat matrix, every mindeg witness, and each with one row dropped
+        rng = random.Random(13)
+        for hc in [fano(), BIGEX, uniform(3, 6), *_representable_sweep_hcs(30)]:
+            k, witnesses = mindeg(hc, enumerate_all=True)
+            for full in [flat_matrix(hc), *witnesses[:5]]:
+                dropped = BoolMatrix.from_masks(full.ones_masks[1:], full.col_labels,
+                                                full.row_labels[1:])
+                for m in (full, dropped):
+                    m2 = permuted_matrix(m, rng)
+                    hc2 = HereditaryCollection.from_facets(m2.col_labels, hc.facets)
+                    represented = matrix_represents(hc, m)
+                    assert matrix_represents(hc2, m2) == represented
+                    if represented:
+                        assert is_rowmin(hc2, m2) == is_rowmin(hc, m)
 
 
 @pytest.mark.slow

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from boolrep import reps, sbcore
-from boolrep.errors import DimensionError, FormatError, SizeError, TooLarge, UnknownColumn
+from boolrep.errors import DimensionError, FormatError, SizeError, TooLarge, UnknownColumn, \
+    ZeroColumn
 from boolrep.lattice import congruent, family_matrix, flats_of_matrix, full_matrix, \
     lattice_from_matrix, matrix_of
 from boolrep.sbcore import (
@@ -32,6 +33,7 @@ from conftest import (
     matrix_rank_top_down,
     matrix_to_text_by_rows,
     permanent_oracle,
+    permuted_matrix,
     rowsum_closure_by_rows,
     stack_matrices_by_rows,
     transpose,
@@ -361,3 +363,25 @@ class TestMaskFormat:
                 vg = lattice_from_matrix(m)
                 assert _same(matrix_of(vg), matrix_of_by_rows(vg))
                 assert _same(full_matrix(vg.lattice), full_matrix_by_rows(vg.lattice))
+
+
+class TestPermutationInvariance:
+    """Permuting a matrix's rows and columns, each keeping its label, changes
+    no answer about its columns (a seeded slice of the metamorphic checks)."""
+
+    def test_rank_flats_and_congruence(self):
+        rng = random.Random(1300)
+        for _ in range(1000):
+            m = _random_matrix(rng)[1]
+            m2 = permuted_matrix(m, rng)
+            assert matrix_rank(m2) == matrix_rank(m)
+            assert congruent(m, m2) and congruent(m2, m)
+            try:
+                fam, col_flats = flats_of_matrix(m)
+            except ZeroColumn:  # a zero column, wherever the permutation put it
+                with pytest.raises(ZeroColumn):
+                    flats_of_matrix(m2)
+                continue
+            fam2, col_flats2 = flats_of_matrix(m2)
+            assert fam2.members == fam.members
+            assert col_flats2 == col_flats
